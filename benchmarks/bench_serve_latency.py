@@ -8,6 +8,9 @@ measures three independent axes of serving v2:
   generator at ``concurrency=1`` (no-batching baseline) vs
   ``concurrency=8``: the mean fused batch size must exceed 1 graph per
   forward pass, and every request must be answered with 200 or 429.
+  ``closed_loop_1`` also records the same model's in-process
+  single-graph ``predict_proba`` p50 and the served p50 over it
+  (``served_over_in_process``, at most 4x).
 * **Pool scaling** (``pool_scaling`` stage) — the same job stream pushed
   through :class:`~repro.serve.pool.InferencePool` at 1/2/4 worker
   processes by 8 concurrent client threads.  The recorded ``speedup`` is
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import threading
 import time
 from pathlib import Path
@@ -69,6 +73,11 @@ POOL_CLIENTS = 8
 #: Codec stage: encode+parse round-trips per codec at this batch size.
 CODEC_REPEATS = 2 if SMOKE else 25
 CODEC_BATCH = 32
+#: Single-graph in-process ``predict_proba`` calls behind the p50 that
+#: the served closed-loop p50 is divided by.
+IN_PROCESS_CALLS = 20 if SMOKE else 200
+#: Ceiling on served p50 / in-process p50 at concurrency 1.
+OVERHEAD_CEILING = 4.0
 
 _cores = os.cpu_count() or 1
 
@@ -128,12 +137,25 @@ def _trained_model_path(tmp_path) -> tuple:
     return ds, model, path
 
 
+def _in_process_p50_ms(model, graphs) -> float:
+    """Median single-graph ``predict_proba`` latency, no server."""
+    for g in graphs[:5]:
+        model.predict_proba([g])  # warm up
+    samples = []
+    for i in range(IN_PROCESS_CALLS):
+        g = graphs[i % len(graphs)]
+        start = time.perf_counter()
+        model.predict_proba([g])
+        samples.append((time.perf_counter() - start) * 1e3)
+    return statistics.median(samples)
+
+
 def test_serve_latency_and_batching(tmp_path):
     print_header(
         f"Serving latency: closed-loop {BASELINE_CONCURRENCY} vs "
         f"{BATCHING_CONCURRENCY} workers ({_cores} CPUs)"
     )
-    ds, _, path = _trained_model_path(tmp_path)
+    ds, model, path = _trained_model_path(tmp_path)
 
     registry = ModelRegistry()
     registry.load(path)
@@ -160,8 +182,23 @@ def test_serve_latency_and_batching(tmp_path):
 
     baseline = sections[BASELINE_CONCURRENCY]
     batched = sections[BATCHING_CONCURRENCY]
-    _record("closed_loop_1", baseline.to_dict())
+    # What the serving layers add on top of the model: the served
+    # single-graph p50 over the same model's in-process p50.
+    in_process_p50 = _in_process_p50_ms(model, ds.graphs)
+    overhead = baseline.percentile_ms(50) / in_process_p50
+    _record(
+        "closed_loop_1",
+        {
+            **baseline.to_dict(),
+            "in_process_p50_ms": round(in_process_p50, 3),
+            "served_over_in_process": round(overhead, 3),
+        },
+    )
     _record("closed_loop_8", batched.to_dict())
+    print(
+        f"served p50 {baseline.percentile_ms(50):.2f} ms / in-process p50 "
+        f"{in_process_p50:.2f} ms = {overhead:.2f}x"
+    )
 
     for result in (baseline, batched):
         # Backpressure contract: nothing dropped, everything 200 or 429.
@@ -180,6 +217,11 @@ def test_serve_latency_and_batching(tmp_path):
     if not SMOKE:
         assert batched.mean_batch_size > 1.0, (
             f"no batching observed: mean batch {batched.mean_batch_size}"
+        )
+        # A Nagle stall or a coalescing wait on an idle server shows up
+        # here first: each costs several in-process forward passes.
+        assert overhead <= OVERHEAD_CEILING, (
+            f"served p50 is {overhead:.2f}x in-process (ceiling {OVERHEAD_CEILING}x)"
         )
     _record(
         "summary",

@@ -5,8 +5,10 @@ Exercises the path no in-process test covers: the real console
 entrypoint as a subprocess.  Trains a tiny model, saves it, boots
 ``python -m repro serve --model ... --port 0``, parses the ephemeral
 port from the startup contract line, performs one predict round-trip
-plus a /healthz and /metrics scrape, then sends SIGINT and checks the
-process shuts down cleanly with exit code 0.
+plus a /healthz and /metrics scrape, checks that the median of 20
+keep-alive single-graph round trips stays under 30 ms (a Nagle stall
+costs >= 40 ms each), then sends SIGINT and checks the process shuts
+down cleanly with exit code 0.
 
 Run from the repository root (scripts/test-tiers.sh serve does):
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -32,6 +35,22 @@ from repro.graph import ensure_connected, erdos_renyi  # noqa: E402
 from repro.serve import ServeClient  # noqa: E402
 
 STARTUP_RE = re.compile(r"listening on (http://[\d.]+:\d+)")
+
+#: A response stalled by Nagle's algorithm waits for the client's
+#: delayed ACK, >= 40 ms; a served tiny graph takes a few ms.
+ROUND_TRIP_CEILING_MS = 30.0
+ROUND_TRIPS = 20
+
+
+def median_round_trip_ms(client: ServeClient, graph) -> float:
+    """Median wall time of keep-alive single-graph predict_proba calls."""
+    client.predict_proba([graph])  # warm the connection and the batcher
+    samples = []
+    for _ in range(ROUND_TRIPS):
+        start = time.perf_counter()
+        client.predict_proba([graph])
+        samples.append((time.perf_counter() - start) * 1e3)
+    return statistics.median(samples)
 
 
 def make_model_file(directory: str) -> tuple[str, list]:
@@ -110,6 +129,12 @@ def main() -> int:
                 metrics = client.metrics()
                 assert "serve_batch_size" in metrics
                 assert "serve_requests_shed_total" in metrics
+                median_ms = median_round_trip_ms(client, graphs[0])
+                print(f"median single-graph round trip: {median_ms:.2f} ms")
+                assert median_ms < ROUND_TRIP_CEILING_MS, (
+                    f"median round trip {median_ms:.1f} ms >= "
+                    f"{ROUND_TRIP_CEILING_MS} ms: a Nagle/delayed-ACK stall?"
+                )
             finally:
                 client.close()
             print("round-trip ok; sending SIGINT")

@@ -71,7 +71,8 @@ inference serving:
                                    serve a saved model over HTTP; concurrent
                                    single-graph requests fuse into one CNN
                                    forward pass (flush on max-batch graphs or
-                                   max-wait-ms); a full admission queue sheds
+                                   max-wait-ms; a lone request runs at
+                                   once); a full admission queue sheds
                                    with 429 + Retry-After instead of queueing
                                    unboundedly; GET /metrics exposes queue
                                    depth, batch-size histograms + shed counts
@@ -361,7 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=5.0,
         metavar="T",
-        help="flush a fused batch after T ms of coalescing (default 5)",
+        help=(
+            "while requests are queued, hold a partial batch open at most "
+            "T ms for more (default 5); a request with nothing queued "
+            "behind it runs at once"
+        ),
     )
     serve.add_argument(
         "--max-queue",

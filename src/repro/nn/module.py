@@ -45,12 +45,47 @@ class Parameter:
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
 
+    def __getstate__(self) -> dict:
+        # The gradient is training scratch: a pickled parameter carries
+        # its value only and comes back with a zeroed accumulator.
+        return {"value": self.value, "name": self.name}
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, tuple):
+            # Pickled before __getstate__ existed: (None, slot values).
+            state = state[1]
+        self.value = state["value"]
+        self.name = state["name"]
+        self.grad = np.zeros_like(self.value)
+
     def __repr__(self) -> str:
         return f"Parameter({self.name}, shape={self.value.shape})"
 
 
 class Layer(ABC):
     """One differentiable computation step."""
+
+    #: What ``forward`` caches for ``backward`` (im2col columns, masks,
+    #: inputs, shapes).  Pickles — saved models, process hand-offs —
+    #: carry these as ``None``: a model file holds weights and buffers,
+    #: not the last training mini-batch's activations.
+    _SCRATCH = frozenset(
+        {"_cols", "_idx", "_in_shape", "_mask", "_x", "_cache",
+         "_argmax", "_shape", "_length", "_out"}
+    )
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._SCRATCH.intersection(state):
+            state[name] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Files written before scratch was dropped still carry it; let
+        # it go at load instead of holding it for the object's lifetime.
+        self.__dict__.update(state)
+        for name in self._SCRATCH.intersection(state):
+            self.__dict__[name] = None
 
     @abstractmethod
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:

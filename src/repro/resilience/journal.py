@@ -29,8 +29,9 @@ unrelated processes and (on a shared filesystem) across hosts — holding
 the owner id, pid, and a heartbeat timestamp the owner refreshes while
 it works.  A claim
 whose heartbeat has gone stale (owner died mid-fold) is *stolen* by
-renaming it aside: ``os.rename`` succeeds for exactly one stealer, so
-even the takeover is single-winner.  The dist coordinator claims a fold
+renaming it aside, and only by the one contender that wins an
+``O_EXCL`` steal marker for that exact file generation, so even the
+takeover is single-winner.  The dist coordinator claims a fold
 before dispatching it and releases on completion; two coordinators (or
 a coordinator and a straggler) can therefore never double-run a fold —
 the exactly-once prerequisite.
@@ -119,11 +120,12 @@ class FoldClaims:
     tree it belongs to, and the name never exists half-written).  The file body
     is JSON — ``{"owner", "pid", "ts"}`` — and the owner rewrites it
     (tmp + ``os.replace``, atomic for readers) as its heartbeat.  When a
-    contender finds an existing claim whose ``ts`` is older than
-    ``ttl_s``, the owner is presumed dead: the contender renames the
-    claim to a unique tombstone — a rename exactly one contender can win
-    — and retries the acquire.  A live owner's refresh keeps ``ts``
-    fresh, so only actually-dead owners are ever evicted.
+    contender finds an existing claim that has been neither published
+    nor heartbeated within ``ttl_s``, the owner is presumed dead: the
+    contender that wins the steal marker for that claim file renames it
+    to a unique tombstone and retries the acquire (see
+    :meth:`_try_steal`).  A live owner's refresh keeps the claim fresh,
+    so only actually-dead owners are ever evicted.
     """
 
     def __init__(
@@ -185,28 +187,74 @@ class FoldClaims:
     def _try_steal(self, fold: int) -> bool:
         """Evict a stale claim; True iff the caller should retry claiming.
 
-        Exactly one contender's rename succeeds, so a steal never turns
-        into a double-acquire; an unreadable claim file (torn write) is
-        treated as stale — its writer cannot be heartbeating it.
+        A steal may only evict the *generation* it judged stale — the
+        claim file's ``(inode, mtime)``, read from the same open file as
+        the body.  Contenders that judged one generation stale race to
+        create its steal marker with ``O_EXCL``; only the winner renames
+        the claim aside.  Without the marker, a contender acting on an
+        old read could rename away the fresh claim the winner had just
+        linked, and both would then hold the fold.  The winner also
+        checks that the tombstone is still the judged generation; if a
+        newer claim slipped in, it is linked back and the steal
+        abandoned.
+
+        A claim is live while its heartbeat ``ts`` *or* its publication
+        (the inode change time that ``os.link`` and the heartbeat's
+        ``os.replace`` stamp) is within ``ttl_s``: the lease runs from
+        when the claim appeared, not from when its body was written, so
+        an owner delayed between writing and linking does not publish
+        an already-expired claim.  An unreadable claim file (torn write)
+        is treated as stale — its writer cannot be heartbeating it.
         """
         path = self._path(fold)
-        holder = self.holder(fold)
-        if holder is None:
+        claim = self._read_claim(fold)
+        if claim is None:
             return True  # vanished (released/stolen) meanwhile: retry
+        st, holder = claim
         ts = holder.get("ts")
-        if isinstance(ts, (int, float)) and time.time() - ts <= self.ttl_s:
+        if isinstance(ts, (int, float)) and not self._expired(max(ts, st.st_ctime)):
             return False  # live heartbeat: respect the claim
+        generation = (st.st_ino, st.st_mtime_ns)
+        marker = path.with_suffix(".steal-{}-{}".format(*generation))
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            if self._marker_abandoned(marker):
+                return True  # its stealer died mid-steal: retry afresh
+            return False  # another contender is evicting this generation
         tombstone = path.with_suffix(f".stale-{os.getpid()}-{self._steals}")
         self._steals += 1
         try:
             os.rename(path, tombstone)
         except OSError:
-            return True  # another contender won the steal: retry acquire
+            return True  # vanished meanwhile: retry acquire
         try:
-            os.unlink(tombstone)
-        except OSError:
-            pass
+            evicted = os.stat(tombstone)
+            if (evicted.st_ino, evicted.st_mtime_ns) != generation:
+                try:
+                    os.link(tombstone, path)  # not ours to evict: restore
+                except FileExistsError:
+                    pass
+                return False
+        finally:
+            try:
+                os.unlink(tombstone)
+            except OSError:
+                pass
         obs.counter("fold_claims_stolen_total").inc()
+        return True
+
+    def _expired(self, stamp: float) -> bool:
+        return time.time() - stamp > self.ttl_s
+
+    def _marker_abandoned(self, marker: Path) -> bool:
+        """Drop a steal marker older than the TTL (its stealer died)."""
+        try:
+            if not self._expired(os.stat(marker).st_mtime):
+                return False
+            os.unlink(marker)
+        except OSError:
+            pass  # removed meanwhile: the steal moved on
         return True
 
     # -- lease maintenance ----------------------------------------------
@@ -228,11 +276,20 @@ class FoldClaims:
                 pass
 
     def release(self, fold: int) -> None:
-        """Drop a claim (done or abandoned); missing file is fine."""
+        """Drop a claim (done or abandoned); missing file is fine.
+
+        Steal markers of the fold's earlier generations go with it.
+        """
+        path = self._path(fold)
         try:
-            os.unlink(self._path(fold))
+            os.unlink(path)
         except FileNotFoundError:
             pass
+        for marker in self.directory.glob(f"{path.stem}.steal-*"):
+            try:
+                os.unlink(marker)
+            except OSError:
+                pass
 
     # -- introspection ---------------------------------------------------
     def holder(self, fold: int) -> dict | None:
@@ -241,8 +298,15 @@ class FoldClaims:
         An unreadable/torn body reports as ``{"owner": None, "ts": None}``
         rather than raising — contenders treat it as stale.
         """
+        claim = self._read_claim(fold)
+        return None if claim is None else claim[1]
+
+    def _read_claim(self, fold: int) -> tuple[os.stat_result, dict] | None:
+        """``(stat, body)`` of the claim, both from one open file."""
         try:
-            raw = self._path(fold).read_bytes()
+            with open(self._path(fold), "rb") as fh:
+                st = os.fstat(fh.fileno())
+                raw = fh.read()
         except OSError:
             return None
         try:
@@ -250,8 +314,8 @@ class FoldClaims:
             if not isinstance(body, dict):
                 raise ValueError(body)
         except ValueError:
-            return {"owner": None, "pid": None, "ts": None}
-        return body
+            body = {"owner": None, "pid": None, "ts": None}
+        return st, body
 
     def __repr__(self) -> str:
         return f"FoldClaims({self.directory}, owner={self.owner!r})"

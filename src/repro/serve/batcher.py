@@ -10,10 +10,11 @@ than one when fused into a single encoder/CNN pass.  The
   sheds the request immediately (:class:`RequestShed` -> HTTP 429)
   instead of letting latency collapse for everyone;
 * one or more drainer threads (``workers``, resizable at runtime via
-  :meth:`MicroBatcher.resize`) pull from the shared queue, each fusing
-  requests until its batch holds ``max_batch`` graphs or ``max_wait_ms``
-  has passed since the oldest request in the batch arrived, whichever
-  comes first;
+  :meth:`MicroBatcher.resize`) pull from the shared queue.  A request
+  that finds nothing queued behind it runs at once (an idle server pays
+  no coalescing delay); otherwise the drainer fuses requests until its
+  batch holds ``max_batch`` graphs or ``max_wait_ms`` has passed since
+  the oldest request in the batch arrived, whichever comes first;
 * each request carries an optional **deadline**; requests that expire
   while queued are answered with :class:`DeadlineExceeded` (HTTP 504)
   *before* wasting a slot in the forward pass;
@@ -229,7 +230,9 @@ class MicroBatcher:
         Flush threshold in *graphs* (requests may carry several).
     max_wait_ms:
         Flush threshold in milliseconds since the oldest batched
-        request arrived.  ``0`` disables coalescing delay entirely.
+        request arrived.  It only bounds coalescing under concurrency:
+        a batch whose first request has nothing queued behind it
+        flushes at once.  ``0`` disables coalescing delay entirely.
     max_queue:
         Admission-queue bound in *requests*; beyond it ``submit`` sheds.
     workers:
@@ -467,8 +470,11 @@ class MicroBatcher:
         batch = [first]
         total = len(first.graphs)
         flush_at = first.enqueued_at + self.max_wait_s
-        if self._closing.is_set():
-            flush_at = 0.0  # draining: no coalescing delay, flush fast
+        if self._closing.is_set() or self._queue.empty():
+            # Draining, or idle: nothing queued behind the first request
+            # means no batch is forming, so waiting out the window would
+            # only add latency.  Flush at once.
+            flush_at = 0.0
         while total < self.max_batch:
             remaining = flush_at - time.monotonic()
             try:

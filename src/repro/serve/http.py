@@ -35,6 +35,10 @@ expired per-request deadline is ``504``; a stopped batcher is ``503``;
 malformed payloads are ``400``; unknown models are ``404``.  The server
 never sheds silently and never queues unboundedly.
 
+Transport: accepted connections get ``TCP_NODELAY`` and every response
+leaves in one ``sendall`` (status line, headers and body together), so
+no keep-alive response waits on the client's delayed ACK.
+
 Handler threads only parse/serialise; all model work happens on the
 per-model batcher worker threads, so concurrency in the HTTP layer
 translates into *larger fused batches*, not into concurrent forward
@@ -437,6 +441,11 @@ def _make_handler(server: "ReproServer") -> type[BaseHTTPRequestHandler]:
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-serve/1.0"
+        # StreamRequestHandler.setup() sets TCP_NODELAY on the accepted
+        # connection.  Without it a keep-alive response that follows the
+        # client's request can sit in Nagle's buffer until the peer's
+        # delayed ACK fires (~40 ms), which dwarfs a small forward pass.
+        disable_nagle_algorithm = True
         app = server
 
         # Structured access-log events (emitted per response in
@@ -474,14 +483,12 @@ def _make_handler(server: "ReproServer") -> type[BaseHTTPRequestHandler]:
                         200, self.app.healthz(), trace_id=trace_id
                     )
                 elif self.path == "/metrics":
-                    body = obs.get_metrics().to_promtext().encode()
-                    self.send_response(200)
-                    self.send_header("Content-Type", "text/plain; version=0.0.4")
-                    self.send_header("Content-Length", str(len(body)))
-                    self.send_header(TRACE_HEADER, trace_id)
-                    self.end_headers()
-                    self.wfile.write(body)
-                    status = 200
+                    status = self._send(
+                        200,
+                        "text/plain; version=0.0.4",
+                        obs.get_metrics().to_promtext().encode(),
+                        {TRACE_HEADER: trace_id},
+                    )
                 elif self.path.startswith(_TRACES_PREFIX):
                     status = self._handle_get_trace(trace_id)
                 else:
@@ -665,47 +672,62 @@ def _make_handler(server: "ReproServer") -> type[BaseHTTPRequestHandler]:
             return self._send_json(200, body, trace_id=trace_id)
 
         # -- plumbing ---------------------------------------------------
-        def _send_binary(
-            self, status: int, payload: dict, trace_id: str | None = None
+        def _send(
+            self,
+            status: int,
+            content_type: str,
+            body: bytes,
+            headers: dict[str, str],
         ) -> int:
+            """Write one whole response in a single ``sendall``.
+
+            ``end_headers()`` would flush the header block as a segment
+            of its own and the body would follow as a second one; the
+            blank line and the body are appended to the pending header
+            buffer instead, so status line, headers and body leave in
+            one write.
+            """
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            for key, value in headers.items():
+                self.send_header(key, value)
+            self._headers_buffer.extend((b"\r\n", body))
+            self.flush_headers()
+            return status
+
+        def _send_binary(self, status: int, payload: dict, trace_id: str) -> int:
             """Answer in the binary codec (client sent ``Accept: x-repro-graph``).
 
             Carries byte-for-byte the same tensors and metadata as the
             JSON path; errors still go out as JSON so a failing request
             is always inspectable with nothing but a text console.
             """
-            if trace_id is not None and "trace_id" not in payload:
+            if "trace_id" not in payload:
                 payload = {**payload, "trace_id": trace_id}
-            body = encode_predict_response(payload)
-            self.send_response(status)
-            self.send_header("Content-Type", BINARY_CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(body)))
-            if trace_id is not None:
-                self.send_header(TRACE_HEADER, trace_id)
-            self.end_headers()
-            self.wfile.write(body)
-            return status
+            return self._send(
+                status,
+                BINARY_CONTENT_TYPE,
+                encode_predict_response(payload),
+                {TRACE_HEADER: trace_id},
+            )
 
         def _send_json(
             self,
             status: int,
             payload: dict,
             headers: dict | None = None,
-            trace_id: str | None = None,
+            *,
+            trace_id: str,
         ) -> int:
-            if trace_id is not None and "trace_id" not in payload:
+            if "trace_id" not in payload:
                 payload = {**payload, "trace_id": trace_id}
-            body = json.dumps(payload).encode()
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            if trace_id is not None:
-                self.send_header(TRACE_HEADER, trace_id)
-            for key, value in (headers or {}).items():
-                self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(body)
-            return status
+            return self._send(
+                status,
+                "application/json",
+                json.dumps(payload).encode(),
+                {TRACE_HEADER: trace_id, **(headers or {})},
+            )
 
     return Handler
 
@@ -720,7 +742,7 @@ def _stage_spans(
 
     Stage boundaries come from the batcher's monotonic stamps
     (:meth:`MicroBatcher.submit_traced`); ``serialize`` covers response
-    encoding + write.  Stages whose boundaries were never reached
+    encoding + the single socket write.  Stages whose boundaries were never reached
     (sheds, deadline expiries, parse errors) are simply absent, so the
     durations always sum to at most the measured request latency.
     """

@@ -11,6 +11,8 @@ from repro.core.persistence import (
     load_model,
     save_model,
 )
+from repro.nn.module import Layer, Parameter
+from repro.utils.wire import blake2b_hexdigest
 
 FACTORIES = {
     "wl": lambda: deepmap_wl(h=1, r=3, epochs=3, seed=0),
@@ -67,6 +69,79 @@ class TestPersistence:
     def test_unfitted_model_rejected(self, tmp_path):
         with pytest.raises(RuntimeError):
             save_model(deepmap_wl(), tmp_path / "x.pkl")
+
+
+class TestTrainingScratch:
+    """A model file holds weights, vocabulary and encoder state — not the
+    forward caches and gradients of the last training mini-batch."""
+
+    def test_pickle_carries_no_scratch(
+        self, fitted_models, small_dataset_module, monkeypatch
+    ):
+        model = fitted_models["wl"]
+        model.predict_proba(small_dataset_module[0])  # fresh inference caches
+        blob = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+        param_bytes = sum(p.value.nbytes for p in model.network_.parameters())
+        assert len(blob) < param_bytes + 16 * 1024
+
+        layer_states, param_states = [], []
+        layer_setstate, param_setstate = Layer.__setstate__, Parameter.__setstate__
+
+        def record_layer(self, state):
+            layer_states.append(state)
+            layer_setstate(self, state)
+
+        def record_param(self, state):
+            param_states.append(state)
+            param_setstate(self, state)
+
+        monkeypatch.setattr(Layer, "__setstate__", record_layer)
+        monkeypatch.setattr(Parameter, "__setstate__", record_param)
+        pickle.loads(blob)
+        assert layer_states and param_states
+        for state in layer_states:
+            arrays = {k for k, v in state.items() if isinstance(v, np.ndarray)}
+            assert arrays <= {"running_mean", "running_var"}, arrays
+        assert all(set(state) == {"value", "name"} for state in param_states)
+
+    def test_file_with_pickled_scratch_still_loads(
+        self, fitted_models, small_dataset_module, tmp_path, monkeypatch
+    ):
+        """Files written before scratch was dropped carry the caches and
+        slot-state gradients; they load and predict bitwise the same."""
+        graphs, _ = small_dataset_module
+        model = fitted_models["wl"]
+        model.predict_proba(graphs)
+        monkeypatch.setattr(Layer, "__getstate__", lambda self: self.__dict__)
+        monkeypatch.setattr(
+            Parameter,
+            "__getstate__",
+            lambda self: (
+                None,
+                {"value": self.value, "grad": self.grad, "name": self.name},
+            ),
+        )
+        blob = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+        monkeypatch.undo()
+        param_bytes = sum(p.value.nbytes for p in model.network_.parameters())
+        assert len(blob) > 2 * param_bytes  # really carries the scratch
+        path = tmp_path / "with-scratch.pkl"
+        with open(path, "wb") as fh:
+            pickle.dump(
+                {
+                    "format_version": 2,
+                    "checksum": blake2b_hexdigest([blob]),
+                    "model_bytes": blob,
+                },
+                fh,
+            )
+        restored = load_model(path)
+        conv = restored.network_.layers[0]
+        assert conv._cols is None  # let go at load
+        assert not conv.weight.grad.any()
+        np.testing.assert_array_equal(
+            model.predict_proba(graphs), restored.predict_proba(graphs)
+        )
 
 
 class TestEnvelope:

@@ -99,6 +99,89 @@ def test_invalid_ttl_is_rejected(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Steal generations (the interleavings, replayed deterministically)
+# ----------------------------------------------------------------------
+
+def _torn_claim(directory):
+    """A claim file no heartbeat can vouch for: stale whatever the TTL."""
+    path = directory / "fold-0000.claim"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b'{"owner": "dead", "pi')
+    return path
+
+
+def test_steal_acting_on_an_old_read_cannot_evict_the_new_claim(
+    tmp_path, monkeypatch
+):
+    """B judges the dead claim stale; A steals it and links its own; B
+    then acts on its old read.  B must lose, and A keep the fold."""
+    directory = tmp_path / "claims"
+    _torn_claim(directory)
+    a = FoldClaims(directory, owner="a", ttl_s=60.0)
+    b = FoldClaims(directory, owner="b", ttl_s=60.0)
+    old_read = b._read_claim(0)
+    assert a.claim(0) is True
+    monkeypatch.setattr(b, "_read_claim", lambda fold: old_read)
+    assert b._try_steal(0) is False
+    assert a.holder(0)["owner"] == "a"
+
+
+def test_steal_that_renamed_a_newer_claim_puts_it_back(tmp_path, monkeypatch):
+    """With the marker gone, the tombstone check still catches it."""
+    directory = tmp_path / "claims"
+    path = _torn_claim(directory)
+    a = FoldClaims(directory, owner="a", ttl_s=60.0)
+    b = FoldClaims(directory, owner="b", ttl_s=60.0)
+    old_read = b._read_claim(0)
+    assert a.claim(0) is True
+    for marker in directory.glob("fold-0000.steal-*"):
+        marker.unlink()
+    inode = os.stat(path).st_ino
+    monkeypatch.setattr(b, "_read_claim", lambda fold: old_read)
+    assert b._try_steal(0) is False
+    assert os.stat(path).st_ino == inode
+    assert a.holder(0)["owner"] == "a"
+    assert not list(directory.glob("*.stale-*"))  # no tombstone left over
+
+
+def test_abandoned_steal_marker_does_not_wedge_the_fold(tmp_path):
+    directory = tmp_path / "claims"
+    path = _torn_claim(directory)
+    st = os.stat(path)
+    marker = directory / f"fold-0000.steal-{st.st_ino}-{st.st_mtime_ns}"
+    marker.touch()
+    os.utime(marker, (0, 0))  # its stealer died long ago
+    assert FoldClaims(directory, owner="b", ttl_s=60.0).claim(0) is True
+
+
+def test_release_clears_steal_markers(tmp_path):
+    directory = tmp_path / "claims"
+    _torn_claim(directory)
+    claims = FoldClaims(directory, owner="b", ttl_s=60.0)
+    assert claims.claim(0) is True
+    assert list(directory.glob("fold-0000.steal-*"))
+    claims.release(0)
+    assert sorted(p.name for p in directory.iterdir()) == []
+
+
+def test_lease_runs_from_publication(tmp_path, monkeypatch):
+    """An owner delayed between writing its body and linking it must not
+    publish a claim that is already stealable."""
+    a = FoldClaims(tmp_path / "claims", owner="a", ttl_s=5.0)
+    b = FoldClaims(tmp_path / "claims", owner="b", ttl_s=5.0)
+    monkeypatch.setattr(
+        a,
+        "_body",
+        lambda: json.dumps(
+            {"owner": "a", "pid": os.getpid(), "ts": time.time() - 60.0}
+        ).encode(),
+    )
+    assert a.claim(0) is True
+    assert b.claim(0) is False
+    assert b.holder(0)["owner"] == "a"
+
+
+# ----------------------------------------------------------------------
 # Multi-process races
 # ----------------------------------------------------------------------
 

@@ -66,6 +66,37 @@ class BlockingInfer(RecordingInfer):
         return super().__call__(items)
 
 
+def wait_for_depth(batcher, depth, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while batcher.depth() < depth:
+        assert time.monotonic() < deadline, f"queue never reached depth {depth}"
+        time.sleep(0.005)
+
+
+def queue_behind_blocked_drainer(batcher, infer, payloads):
+    """Park the drainer in ``infer`` on a first request, then queue
+    ``payloads`` in order behind it.
+
+    Returns the submitting threads (first request included) and a dict
+    mapping each payload's first value to its ``submit_traced`` result.
+    Release with ``infer.release.set()``.
+    """
+    results = {}
+
+    def submit(payload):
+        results[payload[0]] = batcher.submit_traced(payload)
+
+    threads = [threading.Thread(target=submit, args=([0.0],))]
+    threads[0].start()
+    assert infer.entered.wait(timeout=5.0)
+    for depth, payload in enumerate(payloads, start=1):
+        thread = threading.Thread(target=submit, args=(payload,))
+        thread.start()
+        threads.append(thread)
+        wait_for_depth(batcher, depth)  # one at a time: queue order is fixed
+    return threads, results
+
+
 def submit_concurrently(batcher, payloads, timeout_s=None):
     """Submit each payload from its own thread; return results/errors in order."""
     results = [None] * len(payloads)
@@ -99,31 +130,76 @@ class TestFusing:
             batcher.stop()
 
     def test_concurrent_requests_fuse_into_one_batch(self, metrics):
-        infer = RecordingInfer()
-        batcher = MicroBatcher(infer, max_batch=4, max_wait_ms=500).start()
+        infer = BlockingInfer()
+        batcher = MicroBatcher(infer, max_batch=4, max_wait_ms=10_000).start()
         try:
-            results, errors = submit_concurrently(batcher, [[1.0], [2.0], [3.0], [4.0]])
+            threads, results = queue_behind_blocked_drainer(
+                batcher, infer, [[1.0], [2.0], [3.0], [4.0]]
+            )
+            infer.release.set()
+            for t in threads:
+                t.join(timeout=5.0)
         finally:
+            infer.release.set()
             batcher.stop()
-        assert errors == [None] * 4
-        # Filling max_batch flushes well before the 500 ms window ends,
-        # and each request gets exactly its own slice back.
-        assert infer.batch_sizes == [4]
-        for i, (proba, _) in enumerate(results):
-            np.testing.assert_array_equal(proba, [[i + 1.0]])
+        # The four queued requests fill max_batch and flush long before
+        # the 10 s window ends; each gets exactly its own slice back.
+        assert infer.batch_sizes == [1, 4]
+        for value in (1.0, 2.0, 3.0, 4.0):
+            proba, _, _ = results[value]
+            np.testing.assert_array_equal(proba, [[value]])
 
-    def test_max_wait_flushes_a_partial_batch(self, metrics):
-        infer = RecordingInfer()
-        batcher = MicroBatcher(infer, max_batch=100, max_wait_ms=40).start()
+    def test_idle_request_flushes_at_once(self, metrics):
+        """Nothing queued behind a request: no batch is forming, so it
+        runs at once instead of waiting out ``max_wait_ms``."""
+        batcher = MicroBatcher(RecordingInfer(), max_wait_ms=10_000).start()
         try:
             start = time.monotonic()
-            results, errors = submit_concurrently(batcher, [[1.0], [2.0]])
+            proba, _, stamps = batcher.submit_traced([1.0])
             elapsed = time.monotonic() - start
         finally:
             batcher.stop()
-        assert errors == [None, None]
-        assert sum(infer.batch_sizes) == 2
-        assert elapsed < 5.0  # flushed by the wait timer, not max_batch
+        np.testing.assert_array_equal(proba, [[1.0]])
+        assert elapsed < 1.0
+        assert stamps["infer_started_at"] - stamps["collected_at"] < 1.0
+
+    def test_busy_requests_coalesce_and_carry_over(self, metrics):
+        """Requests queued behind an in-flight batch fuse into the next
+        one; a request that would overflow it is carried, whole."""
+        infer = BlockingInfer()
+        batcher = MicroBatcher(infer, max_batch=3, max_wait_ms=10_000).start()
+        try:
+            threads, results = queue_behind_blocked_drainer(
+                batcher, infer, [[1.0], [2.0], [3.0, 4.0]]
+            )
+            infer.release.set()
+            for t in threads:
+                t.join(timeout=5.0)
+        finally:
+            infer.release.set()
+            batcher.stop()
+        assert infer.batch_sizes == [1, 2, 2]
+        batch_of = {value: stamps["batch_id"] for value, (_, _, stamps) in results.items()}
+        assert batch_of[1.0] == batch_of[2.0] != batch_of[3.0]
+        np.testing.assert_array_equal(results[3.0][0], [[3.0], [4.0]])
+
+    def test_max_wait_flushes_a_partial_batch(self, metrics):
+        infer = BlockingInfer()
+        batcher = MicroBatcher(infer, max_batch=100, max_wait_ms=200).start()
+        try:
+            threads, results = queue_behind_blocked_drainer(
+                batcher, infer, [[1.0], [2.0]]
+            )
+            infer.release.set()
+            for t in threads:
+                t.join(timeout=5.0)
+        finally:
+            infer.release.set()
+            batcher.stop()
+        # Two graphs never fill max_batch=100 and nothing is carried:
+        # only the wait timer can have flushed the fused pair.
+        assert infer.batch_sizes == [1, 2]
+        assert results[1.0][2]["batch_id"] == results[2.0][2]["batch_id"]
 
     def test_oversized_request_carries_over(self, metrics):
         infer = RecordingInfer()
@@ -283,6 +359,10 @@ class TestBitwiseInvariance:
         real_infer = batcher.infer
 
         def counting(batch):
+            if not infer_sizes:
+                # Hold the first pass until every request is admitted, so
+                # the rest queue behind it whatever the thread timing.
+                wait_for_depth(batcher, len(graphs) - len(batch))
             infer_sizes.append(len(batch))
             return real_infer(batch)
 

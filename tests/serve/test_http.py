@@ -9,6 +9,7 @@ round-trips exactly, so not even the wire blurs the comparison.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 
@@ -17,7 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.obs.reqtrace import TRACE_HEADER
 from repro.serve import MicroBatcher, ServeClient, ServeClientError
+from repro.serve.codec import decode_predict_response, encode_predict_request
 from tests.conftest import random_graphs
 
 pytestmark = pytest.mark.serve
@@ -28,6 +31,52 @@ def client(live_server):
     c = ServeClient(live_server.url)
     yield c
     c.close()
+
+
+class SendRecorder:
+    """Proxy for an accepted socket that records every ``sendall``."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+        self.sends: list[bytes] = []
+        self.nodelay: int | None = None
+
+    def sendall(self, data) -> None:
+        self.sends.append(bytes(data))
+        self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def record_connections(server, monkeypatch) -> list[SendRecorder]:
+    """Wrap every connection ``server`` accepts from now on in a recorder."""
+    handler_cls = server._httpd.RequestHandlerClass
+    real_setup = handler_cls.setup
+    recorders: list[SendRecorder] = []
+
+    def setup(handler) -> None:
+        handler.request = SendRecorder(handler.request)
+        real_setup(handler)
+        handler.request.nodelay = handler.connection.getsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY
+        )
+        recorders.append(handler.request)
+
+    monkeypatch.setattr(handler_cls, "setup", setup)
+    return recorders
+
+
+def split_single_send(sends: list[bytes], status: int, body: bytes) -> dict:
+    """Assert ``sends`` is one whole response; return its headers."""
+    assert len(sends) == 1, [s[:60] for s in sends]
+    head, blank, payload = sends[0].partition(b"\r\n\r\n")
+    assert blank and payload == body
+    status_line, *lines = head.decode().split("\r\n")
+    assert status_line.startswith(f"HTTP/1.1 {status} ")
+    headers = dict(line.split(": ", 1) for line in lines)
+    assert headers["Content-Length"] == str(len(body))
+    return headers
 
 
 class TestEndpoints:
@@ -124,6 +173,61 @@ class TestStatusContract:
             live_server.registry._slots.pop("dead", None)
 
 
+class TestTransport:
+    """Socket behaviour: no Nagle stall, one write per response.
+
+    A response split over two segments (headers, then body) on a socket
+    with Nagle's algorithm on waits for the peer's delayed ACK, ~40 ms a
+    request; these pin both halves of the fix.
+    """
+
+    def test_accepted_connection_sets_tcp_nodelay(self, live_server, monkeypatch):
+        recorders = record_connections(live_server, monkeypatch)
+        client = ServeClient(live_server.url)
+        try:
+            client.healthz()
+        finally:
+            client.close()
+        (conn,) = recorders
+        assert conn.nodelay
+
+    def test_every_response_is_one_sendall(
+        self, live_server, monkeypatch, triangle
+    ):
+        recorders = record_connections(live_server, monkeypatch)
+        client = ServeClient(live_server.url)
+        json_request = ServeClient._payload([triangle], None, None)
+        cases = [
+            ("POST", "/v1/predict_proba", json_request, 200),
+            ("POST", "/v1/predict_proba", encode_predict_request([triangle]), 200),
+            ("GET", "/metrics", None, 200),
+            ("GET", "/nope", None, 404),
+        ]
+        try:
+            client.healthz()  # opens the keep-alive connection
+            (conn,) = recorders
+            for i, (method, path, payload, want) in enumerate(cases):
+                trace_id = f"0e5e4d00000000{i:02d}"
+                before = len(conn.sends)
+                status, headers, body = client.request(
+                    method, path, payload, trace_id=trace_id
+                )
+                assert status == want
+                assert len(recorders) == 1  # still the same connection
+                sent = split_single_send(conn.sends[before:], status, body)
+                assert sent[TRACE_HEADER] == headers[TRACE_HEADER.lower()] == trace_id
+                if isinstance(payload, bytes):
+                    assert decode_predict_response(body)["trace_id"] == trace_id
+                elif path != "/metrics":
+                    assert json.loads(body)["trace_id"] == trace_id
+        finally:
+            client.close()
+        # Error bodies are byte-for-byte what they always were.
+        assert body == json.dumps(
+            {"error": "no such path: /nope", "trace_id": trace_id}
+        ).encode()
+
+
 class TestOverload:
     """429/504 need a server whose worker we can park: fake slow model."""
 
@@ -167,8 +271,9 @@ class TestOverload:
         finally:
             client.close()
 
-    def test_shed_is_429_with_retry_after(self, slow_server, triangle):
+    def test_shed_is_429_with_retry_after(self, slow_server, triangle, monkeypatch):
         server, entered, release = slow_server
+        recorders = record_connections(server, monkeypatch)
         results: list = []
         # One request occupies the worker, one fills the queue (max_queue=1).
         t1 = threading.Thread(target=self._post, args=(server.url, triangle, results))
@@ -189,6 +294,11 @@ class TestOverload:
         assert status == 429
         assert headers["retry-after"] == "7"
         assert "queue full" in json.loads(body)["error"]
+        (shed_conn,) = [
+            r for r in recorders if r.sends and r.sends[0].startswith(b"HTTP/1.1 429")
+        ]
+        sent = split_single_send(shed_conn.sends, 429, body)
+        assert sent["Retry-After"] == "7"
         release.set()
         t1.join(timeout=5.0)
         t2.join(timeout=5.0)
