@@ -10,7 +10,11 @@
 #                                   (incl. the differential codec/backend
 #                                   harness, binary-codec fuzz, pool fault
 #                                   injection, autoscaler, canary/shadow
-#                                   routing) plus an end-to-end CLI smoke
+#                                   routing), then tests/serve/test_http.py
+#                                   and tests/serve/test_tracing.py alone
+#                                   in that order (no test may depend on
+#                                   a shared server's leftover SLO
+#                                   window), plus an end-to-end CLI smoke
 #                                   test that boots `repro serve` on an
 #                                   ephemeral port, does one predict
 #                                   round-trip, and checks clean SIGINT
@@ -90,6 +94,7 @@ case "$tier" in
         ;;
     serve)
         python -m pytest tests/serve/ "$@"
+        python -m pytest tests/serve/test_http.py tests/serve/test_tracing.py "$@"
         python scripts/serve_smoke.py
         REPRO_BENCH_SMOKE=1 python -m pytest benchmarks/bench_serve_latency.py "$@"
         ;;

@@ -77,8 +77,8 @@ inference serving:
                                    unboundedly; GET /metrics exposes queue
                                    depth, batch-size histograms + shed counts
   repro serve --model model.pkl --backend pool --workers 4
-                                   run fused batches on a process pool with
-                                   shared-memory tensor handoff; crashed
+                                   run fused batches on a process pool fed
+                                   over worker pipes; crashed
                                    workers respawn (bounded), then degrade to
                                    in-thread execution (/healthz: degraded)
   repro serve --model model.pkl --backend pool --workers auto
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("thread", "pool"),
         default="thread",
         help="inference backend: in-process threads or a process pool "
-        "with shared-memory tensor handoff (default: thread)",
+        "fed over worker pipes (default: thread)",
     )
     serve.add_argument(
         "--workers",

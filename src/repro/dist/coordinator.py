@@ -17,9 +17,8 @@ Scheduling and failure semantics mirror :mod:`repro.parallel`:
 * a fold in flight on a dead worker is requeued — bounded by
   ``max_fold_retries`` per fold, like the pool's crash requeue;
 * folds whose retries are exhausted, or left over when every worker is
-  dead, run serially in the coordinator via
-  :func:`repro.parallel.run_folds` with ``backend="serial"`` — graceful
-  degradation, never a lost fold;
+  dead, run serially in the coordinator through the same fold bodies —
+  graceful degradation, never a lost fold;
 * a worker *rejecting* a fold (``ok: false`` — a deterministic error)
   aborts the run like :class:`repro.parallel.FoldError`; retrying a
   deterministic failure elsewhere would only fail again.
@@ -56,7 +55,6 @@ from repro.eval.protocol import (
     neural_run_config,
 )
 from repro.kernels.base import normalize_gram
-from repro.parallel import run_folds
 from repro.resilience.journal import DEFAULT_CLAIM_TTL_S, FoldJournal
 from repro.svm.svc import DEFAULT_C_GRID
 
@@ -494,7 +492,7 @@ class DistCoordinator:
         """Run the unfinished folds serially in this process.
 
         Mirrors the fork pool's retry-exhausted path: same fold bodies,
-        same payload seeds, ``backend="serial"`` so no pool is spawned.
+        same payload seeds, a plain loop so no pool is spawned.
         The local context is rebuilt from the materialized dataset —
         bitwise what any worker computed.
         """
@@ -513,22 +511,13 @@ class DistCoordinator:
             )
             context = (factory, dataset.graphs, y)
             fold_fn = _neural_fold
-
-        def on_result(pos: int, result: dict) -> None:
-            fold = leftover[pos]
+        for fold in leftover:
+            result = fold_fn(context, payloads[fold])
             if journal is not None:
                 journal.record(fold, result)
             if claims is not None:
                 claims.release(fold)
             outcomes[fold] = result
-
-        run_folds(
-            fold_fn,
-            [payloads[fold] for fold in leftover],
-            context=context,
-            backend="serial",
-            on_result=on_result,
-        )
 
     # -- teardown --------------------------------------------------------
     def close(self) -> None:

@@ -110,7 +110,7 @@ class Graph:
         offsets, per-row strictly increasing neighbors, no self-loops,
         symmetric adjacency), then adopted as-is.  Anything else raises
         ``ValueError``.  The arrays are copied, so callers may hand in
-        views over transient buffers (e.g. shared memory).
+        views over transient buffers.
 
         The result is indistinguishable from ``Graph(n, edges, labels)``:
         same array contents, dtypes, equality, and hash.

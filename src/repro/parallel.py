@@ -60,11 +60,8 @@ from repro import obs
 
 __all__ = [
     "WORKERS_ENV",
-    "BACKEND_ENV",
-    "BACKENDS",
     "FoldError",
     "resolve_workers",
-    "resolve_backend",
     "fork_available",
     "parallelism_available",
     "run_folds",
@@ -72,16 +69,6 @@ __all__ = [
 
 #: Environment variable supplying the default worker count.
 WORKERS_ENV = "REPRO_WORKERS"
-
-#: Environment variable supplying the default executor backend.
-BACKEND_ENV = "REPRO_FOLD_BACKEND"
-
-#: Recognised executor backends: ``auto`` picks the fork pool whenever
-#: it is available and useful; ``fork`` insists on it (still degrading
-#: serially when the platform cannot fork); ``serial`` forces the
-#: in-process loop — the dist coordinator uses it for its degradation
-#: path so leftover folds never recursively spawn a pool.
-BACKENDS = ("auto", "fork", "serial")
 
 #: (fn, context, capture_obs) inherited by forked workers; only ever set
 #: around a pool invocation in :func:`run_folds`.
@@ -138,18 +125,6 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers <= 0:
         workers = os.cpu_count() or 1
     return workers
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Normalise a backend name: explicit -> ``$REPRO_FOLD_BACKEND`` -> auto."""
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV, "").strip() or "auto"
-    backend = str(backend).lower()
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown fold backend {backend!r} (expected one of {BACKENDS})"
-        )
-    return backend
 
 
 def fork_available() -> bool:
@@ -248,7 +223,6 @@ def run_folds(
     workers: int | None = None,
     on_result=None,
     max_retries: int = 2,
-    backend: str | None = None,
 ) -> list:
     """Run ``fn(context, payload)`` for every payload; results in order.
 
@@ -259,12 +233,6 @@ def run_folds(
     to 1, there are fewer than two payloads, or the platform cannot
     fork — the fallback calls ``fn`` identically, so results match the
     pool bitwise.
-
-    ``backend`` selects the executor explicitly (see :data:`BACKENDS`;
-    default ``auto``, overridable via ``$REPRO_FOLD_BACKEND``):
-    ``serial`` forces the in-process loop regardless of worker count,
-    which is how the dist coordinator's degradation path reuses this
-    function without ever nesting a fork pool.
 
     ``on_result(index, result)`` is invoked in the parent as each fold
     finishes (completion order in the pool, payload order serially); use
@@ -277,9 +245,8 @@ def run_folds(
     — and surfaces as :class:`FoldError` carrying the worker traceback.
     """
     payloads = list(payloads)
-    backend = resolve_backend(backend)
     workers = min(resolve_workers(workers), len(payloads) or 1)
-    if backend == "serial" or workers <= 1 or not parallelism_available():
+    if workers <= 1 or not parallelism_available():
         results = []
         for index, payload in enumerate(payloads):
             result = fn(context, payload)

@@ -104,6 +104,7 @@ _SERVE_METRIC_HELP = {
     "serve_batcher_workers": "Drainer threads currently running per batcher, last observation.",
     "serve_autoscale_up_total": "Autoscaler scale-up decisions applied.",
     "serve_autoscale_down_total": "Autoscaler scale-down decisions applied.",
+    "serve_autoscale_errors_total": "Autoscaler ticks that raised (the loop keeps ticking).",
 }
 
 
@@ -130,6 +131,7 @@ def register_serve_metrics() -> None:
     obs.gauge("serve_batcher_workers")
     obs.counter("serve_autoscale_up_total")
     obs.counter("serve_autoscale_down_total")
+    obs.counter("serve_autoscale_errors_total")
     registry = obs.get_metrics()
     for name, help_text in _SERVE_METRIC_HELP.items():
         registry.describe(name, help_text)
@@ -694,8 +696,12 @@ class Autoscaler:
             while not self._stop.wait(interval_s):
                 try:
                     self.tick()
-                except Exception:  # noqa: BLE001 - scaling is best-effort
-                    obs.counter("serve_infer_errors_total")  # touch registry
+                except Exception as exc:  # noqa: BLE001 - scaling is best-effort
+                    obs.counter("serve_autoscale_errors_total").inc()
+                    obs.event(
+                        "autoscale_tick_failed",
+                        error=f"{type(exc).__name__}: {exc}",
+                    )
         self._thread = threading.Thread(
             target=_loop, name="repro-serve-autoscaler", daemon=True
         )

@@ -365,8 +365,8 @@ def arrays_to_graphs(arrays: dict[str, np.ndarray]) -> list[Graph]:
         )
 
     # All invariants hold: adopt per-graph copies of every segment.  The
-    # copies matter — the flats may be views over a transient buffer
-    # (shared memory) that the caller unmaps right after decode.
+    # copies matter — the flats belong to the caller, who may reuse or
+    # mutate them after decode.
     edges_flat = np.column_stack([src[lo], indices_flat[lo]])
     edge_counts = np.bincount(edge_gid[lo], minlength=num_graphs)
     edge_starts = np.concatenate([[0], np.cumsum(edge_counts)])

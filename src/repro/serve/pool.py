@@ -1,4 +1,4 @@
-"""Process-pool inference backend with shared-memory tensor handoff.
+"""Process-pool inference backend.
 
 The thread backend runs every fused forward pass on the batcher thread
 of one process, so extra batcher workers only interleave — they never
@@ -8,36 +8,31 @@ worker *processes*:
 * each worker is a long-lived subprocess holding a loaded model (cached
   by artifact path, so a registry hot-swap simply ships a new path and
   the worker reloads);
-* a fused batch travels as its flat CSR tensors
-  (:func:`repro.serve.codec.graphs_to_arrays`): the parent packs them
-  into one :class:`multiprocessing.shared_memory.SharedMemory` segment
-  (:func:`repro.utils.wire.pack_arrays_into`) and sends only a small
-  header over the worker's pipe — the ndarray payload crosses the
-  process boundary zero-copy, following the pinned/unified-tensor idiom
-  in DGL's ``pin_memory.py`` / ``unified_tensor.py``;
-* when shared memory is unavailable (no ``/dev/shm``, permissions,
-  platform) — or explicitly disabled — the same tensors fall back to
-  pickle-free raw bytes *inside* the pipe message
-  (:func:`~repro.utils.wire.pack_message`); results always return over
-  the pipe (they are small: ``(n, classes)``).
+* a fused batch travels inline over the worker's pipe as its flat CSR
+  tensors (:func:`repro.serve.codec.graphs_to_arrays`) packed as raw
+  bytes by :func:`~repro.utils.wire.pack_message` — no pickle on the
+  tensor path; the result (small: ``(n, classes)``) returns the same
+  way.  Served batches are a few KB to tens of KB, where the pipe is
+  never clearly slower than a shared-memory handoff.
 
 Fault tolerance mirrors the repo's other pools: a worker death (crash,
 ``kill``/``raise`` faults at the ``pool_worker`` injection point) is
 detected on the pipe, the job is retried on a freshly spawned worker,
 and after ``max_respawns`` replacement workers the pool *degrades* —
-every subsequent job runs in-thread through the ``fallback`` callable,
-``/healthz`` reports ``degraded``, and the
-``serve_pool_degradations_total`` counter records it.  Degradation
-never changes results: pool execution is bitwise-identical to the
-in-thread path (``tests/serve/test_differential.py``), because both
-sides load the same checksummed artifact and run the same numpy code.
+every subsequent :meth:`InferencePool.submit` raises
+:class:`PoolError`, ``/healthz`` reports ``degraded``, and the
+``serve_pool_degradations_total`` counter records it.  The server owns
+the one fallback: it catches :class:`PoolError` and runs the batch
+in-thread.  Degradation never changes results: pool execution is
+bitwise-identical to the in-thread path
+(``tests/serve/test_differential.py``), because both sides load the
+same checksummed artifact and run the same numpy code.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing as mp
-import os
 import queue
 import threading
 import time
@@ -55,20 +50,12 @@ __all__ = ["FAULT_POINT", "InferencePool", "PoolError", "register_pool_metrics"]
 #: id (``kill@pool_worker:2`` kills the worker processing job 2).
 FAULT_POINT = "pool_worker"
 
-#: Environment switch forcing the pickle/pipe fallback path.
-NO_SHM_ENV = "REPRO_SERVE_NO_SHM"
-
-#: How long the parent waits for a worker to load its model and report
-#: ready before declaring the spawn dead.
-_READY_TIMEOUT_S = 120.0
-
 _POOL_METRIC_HELP = {
     "serve_pool_workers": "Live inference-pool worker processes.",
     "serve_pool_jobs_total": "Fused batches executed by pool workers.",
-    "serve_pool_shm_jobs_total": "Pool jobs whose tensors crossed via shared memory.",
     "serve_pool_respawns_total": "Pool workers respawned after a death.",
-    "serve_pool_degradations_total": "Pools that fell back to in-thread execution.",
-    "serve_pool_fallback_jobs_total": "Jobs executed in-thread by a degraded pool.",
+    "serve_pool_degradations_total": "Pools that spent their respawn budget and degraded.",
+    "serve_pool_fallback_jobs_total": "Pool jobs the server re-ran in-thread after a PoolError.",
 }
 
 
@@ -85,63 +72,23 @@ def register_pool_metrics() -> None:
 
 
 class PoolError(RuntimeError):
-    """A pool job failed for a reason that is not a worker death."""
+    """A pool job failed for a reason that is not a worker death, or the
+    pool is degraded; the caller runs the batch in-thread instead."""
 
 
 class _WorkerDied(RuntimeError):
     """The worker process exited mid-job (crash or injected kill)."""
 
 
-def _shm_supported() -> bool:
-    if os.environ.get(NO_SHM_ENV, "") not in ("", "0"):
-        return False
-    try:
-        from multiprocessing import shared_memory
-
-        probe = shared_memory.SharedMemory(create=True, size=16)
-        probe.close()
-        probe.unlink()
-        return True
-    except Exception:  # noqa: BLE001 - any failure means "no shm here"
-        return False
-
-
 # ----------------------------------------------------------------------
 # Worker process
 # ----------------------------------------------------------------------
-
-def _graphs_from_shm(name: str, manifest: list[dict]):
-    """Decode a graph batch from a shared-memory segment.
-
-    Returns ``(graphs, error_message)``.  The zero-copy views — and any
-    exception traceback whose frames reference them — are released
-    *before* the segment is closed: ``SharedMemory.close`` refuses to
-    unmap while exported ndarray pointers exist.
-    """
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=name)
-    graphs = error = views = None
-    try:
-        views = wire.unpack_arrays_from(shm.buf, manifest)
-        graphs = arrays_to_graphs(views)
-    except Exception as exc:  # noqa: BLE001 - reported over the pipe
-        error = f"{type(exc).__name__}: {exc}"
-    # The except-block's implicit `del exc` has already dropped the
-    # traceback; dropping the views releases the last buffer exports.
-    views = None
-    try:
-        shm.close()
-    except BufferError:  # pragma: no cover - paranoid backstop
-        pass
-    return graphs, error
-
 
 def _pool_worker_main(conn, worker_id: int) -> None:
     """Job loop of one inference worker process.
 
     Receives :func:`~repro.utils.wire.pack_message` frames over the
-    pipe; tensors arrive either inline or as a shared-memory manifest.
+    pipe, tensors inline.
     Per-job errors are answered (``ok: false``) and the loop continues;
     an :class:`~repro.resilience.faults.InjectedFault` escapes on
     purpose — killing the process so the parent exercises its respawn
@@ -164,12 +111,7 @@ def _pool_worker_main(conn, worker_id: int) -> None:
         job = int(header.get("job", -1))
         try:
             faults.check(FAULT_POINT, job)
-            if header.get("shm") is not None:
-                graphs, error = _graphs_from_shm(header["shm"], header["manifest"])
-                if error is not None:
-                    raise PoolError(error)
-            else:
-                graphs = arrays_to_graphs(arrays)
+            graphs = arrays_to_graphs(arrays)
             path = header["model_path"]
             model = models.get(path)
             if model is None:
@@ -270,14 +212,8 @@ class InferencePool:
     workers:
         Initial worker-process count.
     max_respawns:
-        Replacement-worker budget; once spent the pool degrades to the
-        in-thread ``fallback`` for every subsequent job.
-    fallback:
-        ``fallback(graphs, op) -> ndarray`` executed in-process while
-        degraded (and when ``workers == 0``).
-    use_shm:
-        Force shared memory on/off; ``None`` auto-detects (and honors
-        ``REPRO_SERVE_NO_SHM=1``).
+        Replacement-worker budget; once spent the pool degrades and
+        every subsequent job raises :class:`PoolError`.
 
     ``submit`` is thread-safe: batcher-pool drainer threads call it
     concurrently, each job checking out one idle worker (blocking while
@@ -290,8 +226,6 @@ class InferencePool:
         *,
         workers: int = 1,
         max_respawns: int = 3,
-        fallback=None,
-        use_shm: bool | None = None,
         name: str = "default",
     ) -> None:
         if workers < 0:
@@ -299,8 +233,6 @@ class InferencePool:
         self.model_path = str(model_path)
         self.name = name
         self.max_respawns = max_respawns
-        self.fallback = fallback
-        self.use_shm = _shm_supported() if use_shm is None else bool(use_shm)
         self._ctx = mp.get_context(
             "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         )
@@ -394,7 +326,6 @@ class InferencePool:
             "backend": "pool",
             "workers": self.workers,
             "target_workers": self._target,
-            "shared_memory": self.use_shm,
             "respawns": self._respawns,
             "max_respawns": self.max_respawns,
             "degraded": self._degraded,
@@ -453,14 +384,6 @@ class InferencePool:
                 self._spawn_locked()
         handle.close()
 
-    def _run_fallback(self, graphs, op: str) -> np.ndarray:
-        if self.fallback is None:
-            raise PoolError(
-                f"pool {self.name!r} is degraded and has no in-thread fallback"
-            )
-        obs.counter("serve_pool_fallback_jobs_total").inc()
-        return self.fallback(graphs, op)
-
     def submit(
         self, graphs, op: str = "predict_proba", model_path: str | None = None
     ) -> np.ndarray:
@@ -468,7 +391,8 @@ class InferencePool:
 
         Retries transparently across worker deaths (each death burns
         one respawn); once the budget is spent the job — and every job
-        after it — runs through the in-thread ``fallback``.
+        after it — raises :class:`PoolError`, as does a pool with no
+        workers.
         """
         if not self._started:
             raise PoolError("pool is not started")
@@ -477,7 +401,7 @@ class InferencePool:
         while True:
             handle = self._checkout()
             if handle is None:
-                return self._run_fallback(graphs, op)
+                raise PoolError(f"pool {self.name!r} is degraded: no live worker")
             try:
                 result = self._run_job(handle, arrays, op, path)
             except _WorkerDied:
@@ -502,43 +426,12 @@ class InferencePool:
         op: str,
         path: str,
     ) -> np.ndarray:
-        header: dict = {
-            "op": op,
-            "job": next(self._jobs),
-            "model_path": path,
-            "shm": None,
-        }
-        shm = None
+        header = {"op": op, "job": next(self._jobs), "model_path": path}
         try:
-            if self.use_shm:
-                from multiprocessing import shared_memory
-
-                size = wire.arrays_nbytes(arrays)
-                try:
-                    shm = shared_memory.SharedMemory(
-                        create=True, size=max(1, size)
-                    )
-                except OSError:
-                    shm = None  # fall back to inline bytes for this job
-            if shm is not None:
-                header["shm"] = shm.name
-                header["manifest"] = wire.pack_arrays_into(shm.buf, arrays)
-                payload = wire.pack_message(header)
-                obs.counter("serve_pool_shm_jobs_total").inc()
-            else:
-                payload = wire.pack_message(header, arrays)
-            try:
-                handle.conn.send_bytes(payload)
-            except (BrokenPipeError, OSError):
-                raise _WorkerDied(f"worker {handle.id} pipe closed") from None
-            reply, reply_arrays = handle.recv()
-        finally:
-            if shm is not None:
-                shm.close()
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
+            handle.conn.send_bytes(wire.pack_message(header, arrays))
+        except (BrokenPipeError, OSError):
+            raise _WorkerDied(f"worker {handle.id} pipe closed") from None
+        reply, reply_arrays = handle.recv()
         if reply.get("job") != header["job"]:
             raise _WorkerDied(
                 f"worker {handle.id} answered job {reply.get('job')} "

@@ -18,8 +18,9 @@ runtime (:mod:`repro.dist`) cannot drift apart on framing:
   frame raises :class:`WireError` instead of decoding into garbage.
 
 On top of the byte layer, :func:`pack_message` / :func:`unpack_message`
-give the dist protocol its payload shape: a JSON-able header dict plus a
-``{name: ndarray}`` tensor dict.  Numeric arrays travel as raw
+give the dist protocol and the serve process pool's pipe
+(:mod:`repro.serve.pool`) their payload shape: a JSON-able header dict
+plus a ``{name: ndarray}`` tensor dict.  Numeric arrays travel as raw
 little/native-endian C-order bytes described by a manifest (dtype,
 shape) — no pickle on the hot tensor path.  Object-dtype arrays (the
 cache's boxed vertex-count payloads) fall back to pickle and are only
@@ -44,15 +45,12 @@ __all__ = [
     "PRELUDE_SIZE",
     "DEFAULT_MAX_FRAME",
     "WireError",
-    "arrays_nbytes",
     "blake2b_hexdigest",
-    "pack_arrays_into",
     "seal",
     "unseal",
     "send_frame",
     "recv_frame",
     "pack_message",
-    "unpack_arrays_from",
     "unpack_message",
 ]
 
@@ -208,93 +206,6 @@ def recv_frame(
     if _digest(payload) != digest:
         raise WireError("frame checksum mismatch: payload is corrupt")
     return payload
-
-
-# ----------------------------------------------------------------------
-# Flat tensor buffers: shared-memory tensor handoff
-# ----------------------------------------------------------------------
-
-def arrays_nbytes(arrays: dict[str, np.ndarray]) -> int:
-    """Total bytes :func:`pack_arrays_into` needs for ``arrays``.
-
-    Callers size a shared-memory segment with this before packing.
-    Object-dtype arrays are refused — the flat-buffer path is strictly
-    for raw numeric tensors (pickle never crosses a shm segment).
-    """
-    total = 0
-    for name, arr in arrays.items():
-        arr = np.asarray(arr)
-        if arr.dtype.hasobject:
-            raise WireError(f"array {name!r} has object dtype; cannot flat-pack")
-        total += arr.nbytes
-    return total
-
-
-def pack_arrays_into(buf, arrays: dict[str, np.ndarray]) -> list[dict]:
-    """Copy ``arrays`` into the writable buffer ``buf``; return a manifest.
-
-    The manifest — ``[{name, dtype, shape, offset, nbytes}, ...]`` in
-    sorted-name order — is JSON-able, so it travels in a message header
-    (e.g. over a pipe) while the tensor bytes themselves sit in a
-    :class:`multiprocessing.shared_memory.SharedMemory` segment the
-    receiver maps with :func:`unpack_arrays_from` without copying.
-    """
-    view = memoryview(buf)
-    manifest: list[dict] = []
-    offset = 0
-    for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
-        if arr.dtype.hasobject:
-            raise WireError(f"array {name!r} has object dtype; cannot flat-pack")
-        end = offset + arr.nbytes
-        if end > len(view):
-            raise WireError(
-                f"buffer too small: need {end} bytes, have {len(view)}"
-            )
-        view[offset:end] = arr.tobytes()
-        manifest.append(
-            {
-                "name": name,
-                "dtype": arr.dtype.str,
-                "shape": list(arr.shape),
-                "offset": offset,
-                "nbytes": arr.nbytes,
-            }
-        )
-        offset = end
-    return manifest
-
-
-def unpack_arrays_from(
-    buf, manifest: list[dict], *, copy: bool = False
-) -> dict[str, np.ndarray]:
-    """Rebuild the tensor dict a manifest describes from ``buf``.
-
-    With ``copy=False`` the returned arrays are zero-copy views into
-    ``buf`` — valid only while the underlying segment stays mapped, so
-    receivers that outlive the segment must pass ``copy=True`` (or copy
-    the results they keep).  Malformed manifests raise
-    :class:`WireError`, never index garbage.
-    """
-    view = memoryview(buf)
-    arrays: dict[str, np.ndarray] = {}
-    for entry in manifest:
-        try:
-            name = str(entry["name"])
-            dtype = np.dtype(entry["dtype"])
-            shape = tuple(int(d) for d in entry["shape"])
-            offset = int(entry["offset"])
-            nbytes = int(entry["nbytes"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WireError(f"malformed flat-array manifest entry: {exc}") from None
-        if dtype.hasobject:
-            raise WireError(f"array {name!r} declares object dtype in a flat buffer")
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
-        if expected != nbytes or offset < 0 or offset + nbytes > len(view):
-            raise WireError(f"flat-array manifest for {name!r} is inconsistent")
-        arr = np.frombuffer(view, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)), offset=offset).reshape(shape)
-        arrays[name] = arr.copy() if copy else arr
-    return arrays
 
 
 # ----------------------------------------------------------------------

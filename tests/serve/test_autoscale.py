@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.serve.batcher import Autoscaler, MicroBatcher
 
 
@@ -158,6 +159,37 @@ class TestValidation:
             sim.scaler(min_workers=3, max_workers=2)
         with pytest.raises(ValueError):
             sim.scaler(up_ticks=0)
+
+
+class TestBackgroundLoop:
+    def test_failing_tick_is_counted_and_loop_keeps_ticking(self):
+        """A tick that raises is a counted, logged degradation, not a
+        silent swallow — and the loop survives it."""
+        was_enabled = obs.enabled()
+        obs.enable()
+        errors = obs.counter("serve_autoscale_errors_total")
+        before = errors.value
+
+        def broken_depth():
+            raise RuntimeError("depth gauge unavailable")
+
+        scaler = Autoscaler(
+            depth_fn=broken_depth, workers_fn=lambda: 1, scale_fn=lambda n: None
+        ).start(interval_s=0.01)
+        try:
+            deadline = time.monotonic() + 5.0
+            while errors.value < before + 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            scaler.stop()
+            if not was_enabled:
+                obs.disable()
+        assert errors.value >= before + 2, "failing ticks were not counted"
+        failures = obs.get_event_log().records(
+            kind="event", name="autoscale_tick_failed"
+        )
+        assert failures
+        assert "depth gauge unavailable" in failures[-1]["attrs"]["error"]
 
 
 class TestAgainstRealBatcher:

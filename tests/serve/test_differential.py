@@ -7,7 +7,7 @@ path, which the repo's earlier PRs proved bitwise batch-composition
 invariant.  The contract: for any batch size in 1..max_batch, any pool
 worker count in {1, 2, 4}, and both endpoints, all combinations return
 the *same bytes-for-bytes numbers*.  If a refactor ever breaks fusion
-order, shm layout, or float serialization, one of these asserts goes
+order, tensor packing, or float serialization, one of these asserts goes
 red before any user traffic does.
 """
 
@@ -162,21 +162,5 @@ class TestPoolDirectDifferential:
             assert np.array_equal(
                 pool.submit(graphs, op="predict"), expected_pred
             )
-        finally:
-            pool.stop()
-
-    def test_pipe_fallback_bitwise(
-        self, serve_model, model_path, train_data, monkeypatch
-    ):
-        """REPRO_SERVE_NO_SHM=1 forces the pickle-over-pipe path."""
-        monkeypatch.setenv("REPRO_SERVE_NO_SHM", "1")
-        graphs, _ = train_data
-        expected = serve_model.predict_proba(graphs)
-        pool = InferencePool(model_path, workers=2).start()
-        try:
-            assert np.array_equal(
-                pool.submit(graphs, op="predict_proba"), expected
-            )
-            assert pool.respawns == 0
         finally:
             pool.stop()

@@ -8,10 +8,15 @@ matches on job ids.  The invariants under attack:
   the bitwise-correct answer and never sees the crash;
 * each death burns one respawn from a bounded budget; exhausting it
   flips the pool to *degraded* — no more processes are spawned, every
-  subsequent batch runs in-thread (fallback), and ``/healthz`` reports
-  ``degraded``;
+  subsequent ``submit`` raises ``PoolError``, the server runs the batch
+  in-thread instead, and ``/healthz`` reports ``degraded``;
 * degradation is a soft failure: responses stay correct throughout.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,32 @@ def _clean_faults():
     faults.clear()
     yield
     faults.clear()
+
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+#: Starts a two-worker pool, runs a few batches, stops it, and reports
+#: whether anything started multiprocessing's resource tracker.
+_POOL_RUN = """
+import sys
+from multiprocessing import resource_tracker
+import numpy as np
+from repro.graph import ensure_connected, erdos_renyi
+from repro.serve.pool import InferencePool
+
+rng = np.random.default_rng(0)
+graphs = [
+    ensure_connected(erdos_renyi(8, 0.4, rng), rng).with_labels([i % 3 for i in range(8)])
+    for _ in range(6)
+]
+pool = InferencePool(sys.argv[1], workers=2).start()
+try:
+    for size in (1, 3, 6):
+        assert pool.submit(graphs[:size]).shape[0] == size
+finally:
+    pool.stop()
+print("tracker_started", resource_tracker._resource_tracker._pid is not None)
+"""
 
 
 def _kill_jobs(indices, tmp_path, mode="kill"):
@@ -73,30 +104,6 @@ class TestRespawn:
 
 
 class TestDegradation:
-    def test_budget_exhaustion_degrades_to_fallback(
-        self, serve_model, model_path, train_data, tmp_path
-    ):
-        graphs, _ = train_data
-        expected = serve_model.predict_proba(graphs)
-        _kill_jobs(range(8), tmp_path)  # kill every early job
-        pool = InferencePool(
-            model_path,
-            workers=1,
-            max_respawns=2,
-            fallback=lambda g, op: serve_model.predict_proba(g),
-        ).start()
-        try:
-            out = pool.submit(graphs, op="predict_proba")
-            assert np.array_equal(out, expected)
-            assert pool.degraded
-            assert pool.respawns == 2
-            # Degraded pool keeps answering through the fallback.
-            assert np.array_equal(
-                pool.submit(graphs[:4], op="predict_proba"), expected[:4]
-            )
-        finally:
-            pool.stop()
-
     def test_degraded_without_fallback_raises_pool_error(
         self, model_path, train_data, tmp_path
     ):
@@ -171,3 +178,22 @@ class TestServerDegradation:
         finally:
             client.close()
             server.stop()
+
+
+class TestCleanExit:
+    def test_pool_run_leaves_no_resource_tracker_warnings(self, model_path):
+        """A pool run must not touch tracked IPC resources: workers that
+        attach to a parent-owned shared-memory segment make
+        ``resource_tracker`` warn about it on stderr at interpreter exit
+        whenever the tracker was not already running before the fork.
+        The pipe transport never starts the tracker at all."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _POOL_RUN, str(model_path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
+        assert "tracker_started False" in proc.stdout

@@ -249,8 +249,20 @@ class TestAccessLog:
 
 
 class TestHealthzSlo:
-    def test_healthz_exposes_slo_and_resources(self, client):
-        body = client.healthz()
+    def test_healthz_exposes_slo_and_resources(self, model_path):
+        """Own server, so its SLO window starts empty: the shared live
+        server's window may still be burning from earlier 4xx tests."""
+        from repro.serve import ModelRegistry, ReproServer, ServeConfig
+
+        registry = ModelRegistry(warm=False)
+        registry.load(model_path)
+        server = ReproServer(registry, ServeConfig(port=0)).start()
+        client = ServeClient(server.url)
+        try:
+            body = client.healthz()
+        finally:
+            client.close()
+            server.stop()
         assert body["status"] == "ok"
         assert body["slo"]["status"] == "ok"
         assert "objectives" in body["slo"] and "window" in body["slo"]
