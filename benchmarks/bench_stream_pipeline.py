@@ -3,15 +3,15 @@
 Runs the same ``deepmap-wl`` fit twice in fresh subprocesses — once
 materialized (``fit`` on the full graph list and one resident
 ``(n, w*r, m)`` tensor), once streamed (``fit_stream`` regenerating
-shards from seeds behind the bounded prefetcher, spilling encodes to a
-spool cache and memory-mapping them back per batch) — and records to
+shards from seeds, spilling encodes to a spool cache and memory-mapping
+them back per batch) — and records to
 ``BENCH_stream.json`` in the repo root:
 
 * ``stream_throughput`` — streamed-over-materialized graphs/sec ratio
   (the ``speedup`` field the regression gate tracks).  Streaming
   re-derives every graph from its seed and round-trips tensors through
-  the cache, so the ratio sits near (and may exceed) 1.0: the prefetch
-  worker overlaps generation/encode with consumption.
+  the cache, all on the caller's thread, so the ratio sits well below
+  1.0 (0.38 in ``BENCH_stream.json``); the gate's floor is 0.3.
 * ``stream_peak_rss`` — materialized-over-streamed peak-RSS *growth*
   ratio (child RSS at exit minus interpreter baseline).  This is the
   memory advantage that lets the streamed path train datasets the

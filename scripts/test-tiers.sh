@@ -41,11 +41,12 @@
 #                                   smoke-mode run of the hot-path bench so
 #                                   the gram/encode bench stages can't rot
 #   ./scripts/test-tiers.sh stream  the streaming out-of-core tier:
-#                                   tests/stream (prefetcher semantics,
-#                                   shard store, mmap cache reads, fault
-#                                   injection at prefetch_worker) plus the
+#                                   tests/stream (shard store, mmap cache
+#                                   reads, re-encode of a torn enc spill
+#                                   via corrupt@cache_write) plus the
 #                                   streamed-vs-materialized bitwise
-#                                   equivalence suite, then a smoke-mode
+#                                   equivalence suite and the CLI
+#                                   `train --stream` smoke, then a smoke-mode
 #                                   run of the stream bench so the
 #                                   harness can't rot; full-scale numbers
 #                                   + the regression gate on
@@ -104,6 +105,7 @@ case "$tier" in
         ;;
     stream)
         python -m pytest tests/stream/ tests/equivalence/test_stream_equiv.py "$@"
+        python -m pytest tests/test_cli.py -k stream "$@"
         REPRO_BENCH_SMOKE=1 python -m pytest benchmarks/bench_stream_pipeline.py "$@"
         ;;
     dist)

@@ -105,15 +105,13 @@ inference serving:
 streaming / out-of-core training:
   repro train --stream             train a single deepmap-* model out of core:
                                    graphs are regenerated lazily from per-graph
-                                   seeds, encoded shard-by-shard behind a
-                                   bounded prefetcher, and spilled to the
-                                   feature-map cache (mmap'd back per batch);
-                                   peak RSS stays bounded at any --scale and
-                                   the result is bitwise-equal to the
-                                   materialized fit
-  repro train --stream --shard-size K --prefetch D
-                                   graphs per encoded shard (default 64) and
-                                   prefetch queue depth (default 2)
+                                   seeds, encoded shard-by-shard, and spilled
+                                   to the feature-map cache (mmap'd back per
+                                   batch); peak RSS stays bounded at any
+                                   --scale and the result is bitwise-equal to
+                                   the materialized fit
+  repro train --stream --shard-size K
+                                   graphs per encoded shard (default 64)
   repro stats NAME --stream        one-pass streamed dataset statistics
                                    without materializing the graphs
 
@@ -259,13 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         metavar="K",
         help="graphs per encoded shard in --stream mode (default 64)",
-    )
-    train.add_argument(
-        "--prefetch",
-        type=int,
-        default=2,
-        metavar="D",
-        help="bounded prefetch queue depth in --stream mode (default 2)",
     )
 
     cache = sub.add_parser(
@@ -681,14 +672,10 @@ def _run_stream_train(args: argparse.Namespace) -> int:
     model = factory(args.seed)
     print(
         f"{args.model} on {stream.name} ({len(stream)} graphs, streamed, "
-        f"shard size {args.shard_size}, prefetch depth {args.prefetch})..."
+        f"shard size {args.shard_size})..."
     )
     start = time.perf_counter()
-    model.fit_stream(
-        stream,
-        shard_size=args.shard_size,
-        prefetch_depth=args.prefetch,
-    )
+    model.fit_stream(stream, shard_size=args.shard_size)
     elapsed = time.perf_counter() - start
     sample = sample_resources()
     print(f"train accuracy: {model.history_.train_accuracy[-1]:.4f}")

@@ -203,8 +203,6 @@ class DeepMapClassifier:
         self,
         stream,
         shard_size: int = 64,
-        prefetch_depth: int = 2,
-        max_restarts: int = 2,
         epoch_callback=None,
     ) -> "DeepMapClassifier":
         """Out-of-core fit on a streamed dataset.
@@ -225,8 +223,6 @@ class DeepMapClassifier:
             self,
             stream,
             shard_size=shard_size,
-            prefetch_depth=prefetch_depth,
-            max_restarts=max_restarts,
             epoch_callback=epoch_callback,
         )
 

@@ -39,9 +39,9 @@ Inputs = np.ndarray | tuple[np.ndarray, ...]
 # what fancy-indexing the materialized array would, so the training loop
 # below is bitwise-oblivious to which one it was given.
 
-#: Seconds between resource samples while training on streamed inputs
-#: (<= 0 disables the background sampler; epoch-boundary samples remain).
-STREAM_RESOURCE_INTERVAL_ENV = "REPRO_STREAM_RESOURCE_INTERVAL_S"
+#: Seconds between background resource samples while training on
+#: streamed inputs (epoch-boundary samples are taken as well).
+STREAM_RESOURCE_INTERVAL_S = 1.0
 
 
 @dataclass
@@ -211,20 +211,17 @@ class Trainer:
 
         # Streamed inputs: watch peak RSS while the epoch is consumed as
         # a stream — the background sampler covers long epochs, the
-        # epoch-boundary publish guarantees the gauges move even when
-        # the sampler is disabled.  Materialized runs skip all of it.
+        # epoch-boundary publish guarantees the gauges move even on
+        # epochs shorter than the sampling interval.  Materialized runs
+        # skip all of it.
         streamed = _is_streamed(inputs)
         sampler = None
         if streamed:
-            import os
-
             from repro.obs.resources import ResourceSampler, publish_resources
 
-            interval = float(
-                os.environ.get(STREAM_RESOURCE_INTERVAL_ENV, "1.0") or 0.0
-            )
             sampler = ResourceSampler(
-                interval_s=interval, extra=getattr(inputs, "gauges", None)
+                interval_s=STREAM_RESOURCE_INTERVAL_S,
+                extra=getattr(inputs, "gauges", None),
             ).start()
 
         try:

@@ -11,11 +11,8 @@ A *fault plan* is a comma-separated list of specs, each of the form::
 * ``point`` — the name of an injection point; the library currently
   instruments ``epoch`` (trainer epoch boundary), ``fold`` (inside a CV
   fold, i.e. mid-fold in a worker process), ``cache_write``
-  (:meth:`repro.cache.FeatureMapCache.put`), ``checkpoint_write``
-  (:meth:`repro.resilience.checkpoint.CheckpointManager.save`), and
-  ``prefetch_worker`` (inside the streaming pipeline's background
-  producer, :class:`repro.stream.prefetch.ShardPrefetcher`, matched on
-  the global shard index).
+  (:meth:`repro.cache.FeatureMapCache.put`) and ``checkpoint_write``
+  (:meth:`repro.resilience.checkpoint.CheckpointManager.save`).
 * ``match`` — the integer coordinate at which to fire (epoch number,
   fold number, nth write — whatever the point reports).
 * ``fires`` — how many times the spec triggers before it is spent
@@ -143,23 +140,13 @@ class FaultPlan:
             self._memory_fires[spec.spec_id] = self._memory_fires.get(spec.spec_id, 0) + 1
 
     # -- matching -------------------------------------------------------
-    def trigger(self, point: str, index: int, kill_action=None) -> str | None:
+    def trigger(self, point: str, index: int) -> str | None:
         """Fire the first live spec matching ``(point, index)``, if any.
 
         Returns the action the caller must take: ``None`` (nothing),
         ``"corrupt"`` (damage the artifact just written), or never — a
         ``raise`` spec raises :class:`InjectedFault` and a ``kill`` spec
         terminates the process.
-
-        ``kill_action`` substitutes for ``os._exit`` at injection points
-        hosted by a *thread* rather than a process: a thread cannot die
-        alone via ``os._exit`` (that would take the whole process with
-        it), so thread-hosted points pass a callable that tears down
-        just the worker — typically by raising a private
-        ``BaseException`` the worker loop treats as silent, abrupt
-        death.  The callable must not return; if it does, the process
-        exits anyway so a misbehaving action can never neuter a ``kill``
-        spec.
         """
         for spec in self.by_point.get(point, ()):
             if spec.match != int(index) or self.fired(spec) >= spec.fires:
@@ -169,8 +156,6 @@ class FaultPlan:
             if spec.mode == "raise":
                 raise InjectedFault(f"injected fault {spec.spec_id} at {point}={index}")
             if spec.mode == "kill":
-                if kill_action is not None:
-                    kill_action(spec)
                 os._exit(KILL_EXIT_CODE)
             return "corrupt"
         return None
@@ -256,20 +241,18 @@ def active_plan() -> FaultPlan | None:
     return _plan
 
 
-def check(point: str, index: int, kill_action=None) -> str | None:
+def check(point: str, index: int) -> str | None:
     """Injection-point hook: fire any live fault matching ``(point, index)``.
 
     Returns ``"corrupt"`` when the caller should damage the artifact it
     just wrote, ``None`` otherwise.  ``raise`` faults raise and ``kill``
     faults never return.  With no plan installed this is a near-free
-    early return, safe to call on hot paths.  ``kill_action`` lets
-    thread-hosted points substitute worker-only teardown for
-    ``os._exit`` — see :meth:`FaultPlan.trigger`.
+    early return, safe to call on hot paths.
     """
     plan = active_plan()
     if plan is None or point not in plan.by_point:
         return None
-    return plan.trigger(point, index, kill_action=kill_action)
+    return plan.trigger(point, index)
 
 
 def _count_injection(point: str, mode: str) -> None:

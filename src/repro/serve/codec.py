@@ -78,8 +78,8 @@ BINARY_CONTENT_TYPE = "application/x-repro-graph"
 #: Content type of the default JSON wire format.
 JSON_CONTENT_TYPE = "application/json"
 
-#: Size ceiling for one binary request body (64 MiB): a hostile length
-#: field must not make the server allocate unboundedly.
+#: Size ceiling for one request body in either codec (64 MiB): a hostile
+#: length field must not make the server allocate unboundedly.
 MAX_BINARY_REQUEST = 64 << 20
 
 #: Per-request graph-count ceiling: a single oversized request must not

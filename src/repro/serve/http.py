@@ -74,6 +74,7 @@ from repro.serve.batcher import (
 )
 from repro.serve.codec import (
     BINARY_CONTENT_TYPE,
+    MAX_BINARY_REQUEST,
     CodecError,
     encode_predict_response,
     parse_predict_request,
@@ -611,8 +612,22 @@ def _make_handler(server: "ReproServer") -> type[BaseHTTPRequestHandler]:
         def _predict_inner(
             self, want_proba: bool, trace_id: str, req_span, timing: dict
         ) -> int:
+            # Checked before reading: ``read(-1)`` would block to EOF on
+            # a keep-alive socket, and a huge length would be allocated.
+            # The unread body leaves the stream unframed, so close it.
+            text = self.headers.get("Content-Length", "0").strip()
+            length = int(text) if text.isascii() and text.isdigit() else -1
+            if length < 0 or length > MAX_BINARY_REQUEST:
+                return self._send_json(
+                    400 if length < 0 else 413,
+                    {
+                        "error": f"Content-Length {text!r} is not an integer "
+                        f"in [0, {MAX_BINARY_REQUEST}]"
+                    },
+                    headers={"Connection": "close"},
+                    trace_id=trace_id,
+                )
             try:
-                length = int(self.headers.get("Content-Length", 0))
                 raw = self.rfile.read(length)
                 if self._content_type() == BINARY_CONTENT_TYPE:
                     graphs, model, timeout_s = parse_predict_request_binary(raw)

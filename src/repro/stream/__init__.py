@@ -1,15 +1,12 @@
 """Streaming out-of-core dataset pipeline.
 
-Lazy graph generation (:mod:`repro.datasets.streaming`), bounded-
-prefetch shard production with crash requeue and synchronous
-degradation (:mod:`repro.stream.prefetch`), cache-spilled encoded
-shards with memory-mapped reloads (:mod:`repro.stream.shards`), and a
-streamed training entry point bitwise-equal to the materialized fit
-(:mod:`repro.stream.fit`).  Design notes: ``docs/STREAMING.md``.
+Lazy graph generation (:mod:`repro.datasets.streaming`), cache-spilled
+encoded shards with memory-mapped reloads (:mod:`repro.stream.shards`),
+and a streamed training entry point bitwise-equal to the materialized
+fit (:mod:`repro.stream.fit`).  Design notes: ``docs/STREAMING.md``.
 """
 
 from repro.stream.fit import fit_stream
-from repro.stream.prefetch import FAULT_POINT, ShardPrefetcher
 from repro.stream.shards import (
     EncodedShardStore,
     StreamEncodedInputs,
@@ -18,8 +15,6 @@ from repro.stream.shards import (
 )
 
 __all__ = [
-    "FAULT_POINT",
-    "ShardPrefetcher",
     "EncodedShardStore",
     "StreamEncodedInputs",
     "make_spool_cache",

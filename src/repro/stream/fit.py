@@ -5,12 +5,12 @@ on a :class:`~repro.datasets.streaming.StreamingGraphDataset` without
 ever materializing the full graph list or the full ``(n, w*r, m)``
 tensor.  It mirrors ``DeepMapClassifier.fit`` stage for stage:
 
-1. **Vocabulary pass** — shards are regenerated from seeds (behind the
-   bounded prefetcher) and their vertex feature counts extracted; the
-   substructure totals, the ``max_features`` truncation and the frozen
-   vocabulary come out identical to the materialized path because the
-   extractors are batch-independent, integer totals are order-exact,
-   and ``FeatureVocabulary.freeze`` sorts keys (insertion order never
+1. **Vocabulary pass** — shards are regenerated from seeds and their
+   vertex feature counts extracted; the substructure totals, the
+   ``max_features`` truncation and the frozen vocabulary come out
+   identical to the materialized path because the extractors are
+   batch-independent, integer totals are order-exact, and
+   ``FeatureVocabulary.freeze`` sorts keys (insertion order never
    matters).  The same pass tracks ``max(g.n)`` for the encoder width.
 2. **Encode pass** — each shard's tensor is built once and spilled to
    the feature-map cache (:class:`~repro.stream.shards.EncodedShardStore`);
@@ -41,7 +41,6 @@ from repro.datasets.streaming import StreamingGraphDataset
 from repro.features.vertex_maps import cached_vertex_counts
 from repro.features.vocabulary import FeatureVocabulary
 from repro.nn.model import Trainer
-from repro.stream.prefetch import ShardPrefetcher
 from repro.stream.shards import (
     EncodedShardStore,
     StreamEncodedInputs,
@@ -56,8 +55,6 @@ def fit_stream(
     model,
     stream: StreamingGraphDataset,
     shard_size: int = 64,
-    prefetch_depth: int = 2,
-    max_restarts: int = 2,
     epoch_callback=None,
     cache=None,
 ):
@@ -70,12 +67,7 @@ def fit_stream(
     stream:
         ``make_dataset(name, scale, seed, stream=True)``.
     shard_size:
-        Graphs per encoded shard (the unit of regeneration, caching and
-        prefetch).
-    prefetch_depth:
-        Bounded prefetch queue capacity for both passes.
-    max_restarts:
-        Prefetch-worker deaths tolerated before synchronous degradation.
+        Graphs per encoded shard (the unit of regeneration and caching).
     cache:
         Disk-backed :class:`~repro.cache.FeatureMapCache`; defaults to
         ``model.cache``, then the process cache, then a private
@@ -101,32 +93,20 @@ def fit_stream(
             # Pass 1: streamed vocabulary + encoder width.
             totals: dict = {}
             max_nodes = 0
-            num_shards = stream.num_shards(shard_size)
-
-            def produce_counts(s: int):
-                start = s * shard_size
-                shard = stream.shard(start, min(start + shard_size, len(stream)))
-                counts = cached_vertex_counts(
-                    model.extractor, shard.graphs, cache=cache
-                )
-                return counts, max(g.n for g in shard.graphs)
-
             with obs.span(
-                "stream_vocab_fit", extractor=model.extractor.name, shards=num_shards
+                "stream_vocab_fit",
+                extractor=model.extractor.name,
+                shards=stream.num_shards(shard_size),
             ):
-                prefetcher = ShardPrefetcher(
-                    produce_counts,
-                    num_shards,
-                    depth=prefetch_depth,
-                    max_restarts=max_restarts,
-                )
-                with prefetcher:
-                    for _, (counts, shard_max) in prefetcher:
-                        max_nodes = max(max_nodes, shard_max)
-                        for vertex_counts in counts:
-                            for counter in vertex_counts:
-                                for key, value in counter.items():
-                                    totals[key] = totals.get(key, 0) + value
+                for shard in stream.iter_shards(shard_size):
+                    counts = cached_vertex_counts(
+                        model.extractor, shard.graphs, cache=cache
+                    )
+                    max_nodes = max(max_nodes, max(g.n for g in shard.graphs))
+                    for vertex_counts in counts:
+                        for counter in vertex_counts:
+                            for key, value in counter.items():
+                                totals[key] = totals.get(key, 0) + value
             keys = totals.keys()
             if model.max_features is not None and len(totals) > model.max_features:
                 # Same most-frequent truncation (and tie-break) as the
@@ -149,7 +129,7 @@ def fit_stream(
                 shard_size,
                 cache=cache,
             )
-            store.warm(prefetch_depth=prefetch_depth, max_restarts=max_restarts)
+            store.warm()
             inputs = StreamEncodedInputs(store)
 
             # Training: identical RNG choreography to the materialized

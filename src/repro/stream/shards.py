@@ -37,7 +37,6 @@ from repro.cache import FeatureMapCache
 from repro.core.pipeline import DeepMapEncoder, EncodedDataset
 from repro.datasets.streaming import StreamingGraphDataset
 from repro.features.vertex_maps import cached_vertex_counts
-from repro.stream.prefetch import ShardPrefetcher
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -161,27 +160,16 @@ class EncodedShardStore:
         obs.counter("stream_graphs_encoded_total").inc(stop - start)
         return encoded
 
-    def warm(self, prefetch_depth: int = 2, max_restarts: int = 2) -> "EncodedShardStore":
-        """Encode every shard once, through the bounded prefetcher.
+    def warm(self) -> "EncodedShardStore":
+        """Encode every shard once, in order, on the caller's thread.
 
-        The background worker does the expensive regenerate+encode while
-        the consumer thread merely records keys; worker death degrades
-        to inline encoding after ``max_restarts`` (see
-        :class:`~repro.stream.prefetch.ShardPrefetcher`).  Tensors are
-        *not* retained — they live in the cache tiers only.
+        Tensors are *not* retained — they live in the cache tiers only.
         """
         with obs.span(
             "stream_warm", shards=self.num_shards, shard_size=self.shard_size
         ):
-            prefetcher = ShardPrefetcher(
-                lambda s: self.encode_shard(s).tensors.shape,
-                self.num_shards,
-                depth=prefetch_depth,
-                max_restarts=max_restarts,
-            )
-            with prefetcher:
-                for _ in prefetcher:
-                    pass
+            for s in range(self.num_shards):
+                self.encode_shard(s)
         return self
 
     # -- row access ------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.obs.reqtrace import TRACE_HEADER
 from repro.serve import MicroBatcher, ServeClient, ServeClientError
 from repro.serve.codec import decode_predict_response, encode_predict_request
@@ -226,6 +227,64 @@ class TestTransport:
         assert body == json.dumps(
             {"error": "no such path: /nope", "trace_id": trace_id}
         ).encode()
+
+
+def raw_post(server, content_length: str, timeout_s: float = 3.0):
+    """POST a bare header block over a raw socket; return the parsed reply.
+
+    No body is sent.  Returns ``(status, headers, body, closed)``, where
+    ``closed`` says whether the server hung up after its response.
+    """
+    request = (
+        "POST /v1/predict HTTP/1.1\r\n"
+        f"Host: {server.host}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    ).encode()
+    with socket.create_connection((server.host, server.port), timeout_s) as sock:
+        sock.sendall(request)
+        data = b""
+        while b"\r\n\r\n" not in data:
+            chunk = sock.recv(65536)
+            assert chunk, f"connection closed before a response: {data!r}"
+            data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode().split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines)
+        while len(body) < int(headers["Content-Length"]):
+            body += sock.recv(65536)
+        closed = sock.recv(1) == b""
+    return int(status_line.split()[1]), headers, body, closed
+
+
+class TestContentLength:
+    """A bad ``Content-Length`` is rejected before any body is read."""
+
+    @pytest.mark.parametrize(
+        "content_length, want",
+        [("-1", 400), ("abc", 400), (str(10**12), 413), (str((64 << 20) + 1), 413)],
+    )
+    def test_bad_length_is_rejected_and_closes(
+        self, live_server, monkeypatch, content_length, want
+    ):
+        recorders = record_connections(live_server, monkeypatch)
+        internal = obs.counter("serve_internal_errors_total").value
+        status, headers, body, closed = raw_post(live_server, content_length)
+        assert status == want
+        assert headers["Connection"] == "close"
+        assert closed
+        assert "Content-Length" in json.loads(body)["error"]
+        (conn,) = recorders
+        split_single_send(conn.sends, status, body)
+        assert obs.counter("serve_internal_errors_total").value == internal
+
+    def test_server_still_serves_after_a_rejection(self, live_server, triangle):
+        assert raw_post(live_server, "-1")[0] == 400
+        client = ServeClient(live_server.url)
+        try:
+            assert len(client.predict([triangle])) == 1
+        finally:
+            client.close()
 
 
 class TestOverload:

@@ -1,4 +1,4 @@
-"""fit_stream: fault tolerance and bounded memory, bitwise-equal results."""
+"""fit_stream: degradation, failure and bounded memory, bitwise-equal results."""
 
 from __future__ import annotations
 
@@ -13,11 +13,10 @@ from repro.core import deepmap_wl
 from repro.datasets import make_dataset
 from repro.obs.resources import sample_resources
 from repro.resilience import faults
-from repro.stream import FAULT_POINT
 
 from tests.stream.conftest import model_fingerprint
 
-SCALE = 0.02  # 16 MUTAG graphs: enough for 5 shards at shard_size=4
+SCALE = 0.02  # 40 MUTAG graphs: 10 shards at shard_size=4
 
 
 def fresh_model(**overrides):
@@ -54,45 +53,28 @@ def test_fit_stream_matches_fit_bitwise(materialized_fingerprint):
     assert model_fingerprint(stream_fit()) == materialized_fingerprint
 
 
-def test_raise_fault_requeues_and_epoch_is_bitwise_identical(
+def test_torn_enc_spill_is_reencoded_and_fit_is_bitwise_identical(
     materialized_fingerprint, live_metrics
 ):
-    # The worker dies before producing shard 1, twice (the restarted
-    # worker resumes at the same index and the spec fires again); both
-    # times the shard is requeued and the fitted model is
-    # indistinguishable from the materialized fit.
-    faults.install(f"raise@{FAULT_POINT}:1x2")
+    # The vocabulary pass writes one ``counts`` entry per shard, so write
+    # number ``num_shards`` is shard 0's ``enc`` spill.  It is torn on
+    # disk and evicted from the two-slot memory LRU long before training
+    # reads it back, so the read is a miss and the shard is regenerated
+    # from seeds and re-encoded.
+    num_shards = make_dataset("MUTAG", scale=SCALE, seed=0, stream=True).num_shards(4)
+    faults.install(f"corrupt@cache_write:{num_shards}")
     model = stream_fit()
     assert model_fingerprint(model) == materialized_fingerprint
-    assert obs.counter("stream_prefetch_restarts_total").value == 2
-    assert obs.counter("stream_prefetch_worker_errors_total").value == 2
-    assert obs.counter("stream_prefetch_degradations_total").value == 0
+    assert obs.counter("faults_injected_total").value == 1
+    assert obs.counter("stream_shard_reencodes_total").value >= 1
 
 
-def test_kill_fault_requeues_and_epoch_is_bitwise_identical(
-    materialized_fingerprint, live_metrics
-):
-    # Abrupt silent thread death (no error recorded) — same recovery.
-    faults.install(f"kill@{FAULT_POINT}:0x2")
-    model = stream_fit()
-    assert model_fingerprint(model) == materialized_fingerprint
-    assert obs.counter("stream_prefetch_restarts_total").value == 2
-    assert obs.counter("stream_prefetch_worker_errors_total").value == 0
-    assert obs.counter("stream_prefetch_degradations_total").value == 0
-
-
-def test_unbounded_deaths_degrade_then_complete_bitwise(
-    materialized_fingerprint, live_metrics
-):
-    # The fault re-fires on every restart: after max_restarts deaths the
-    # prefetcher degrades to synchronous production (which skips
-    # injection), so the epoch completes — still bitwise-identical.
-    # Both passes (vocabulary + encode) degrade independently.
-    faults.install(f"kill@{FAULT_POINT}:0x999")
-    model = stream_fit(max_restarts=1)
-    assert model_fingerprint(model) == materialized_fingerprint
-    assert obs.counter("stream_prefetch_degradations_total").value == 2
-    assert obs.counter("stream_prefetch_restarts_total").value == 2
+def test_failing_shard_raises_out_of_fit_stream():
+    # No background worker absorbs the error: like the materialized
+    # ``fit``, a shard that raises fails the call.
+    faults.install("raise@cache_write:1")
+    with pytest.raises(faults.InjectedFault):
+        stream_fit()
 
 
 @pytest.mark.slow

@@ -43,6 +43,18 @@ class TestCommands:
         assert code == 0
         assert "accuracy:" in capsys.readouterr().out
 
+    def test_train_stream_smoke(self, capsys):
+        code = main(
+            [
+                "train", "--dataset", "MUTAG", "--stream", "--scale", "0.02",
+                "--epochs", "1", "--shard-size", "4",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "train accuracy:" in out
+        assert "peak RSS:" in out
+
     def test_train_kernel(self, capsys):
         code = main(
             [
