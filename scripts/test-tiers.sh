@@ -9,8 +9,8 @@
 #   ./scripts/test-tiers.sh serve   the inference-serving tier: tests/serve
 #                                   (incl. the differential codec/backend
 #                                   harness, binary-codec fuzz, pool fault
-#                                   injection, autoscaler, canary/shadow
-#                                   routing), then tests/serve/test_http.py
+#                                   injection, canary/shadow routing),
+#                                   then tests/serve/test_http.py
 #                                   and tests/serve/test_tracing.py alone
 #                                   in that order (no test may depend on
 #                                   a shared server's leftover SLO
@@ -18,7 +18,9 @@
 #                                   test that boots `repro serve` on an
 #                                   ephemeral port, does one predict
 #                                   round-trip, and checks clean SIGINT
-#                                   shutdown, then a smoke-mode run of
+#                                   shutdown (thread backend, then
+#                                   `--backend pool --workers 2` answering
+#                                   bitwise the same), then a smoke-mode run of
 #                                   the serve bench so the pool-scaling /
 #                                   codec stages can't rot; full-scale
 #                                   numbers + the regression gate on

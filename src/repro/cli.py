@@ -81,10 +81,6 @@ inference serving:
                                    over worker pipes; crashed
                                    workers respawn (bounded), then degrade to
                                    in-thread execution (/healthz: degraded)
-  repro serve --model model.pkl --backend pool --workers auto
-                                   autoscale workers between 1 and
-                                   min(4, cpu count) from the queue-depth and
-                                   p95-latency gauges (hysteresis + cooldown)
   repro serve --model v1.pkl --model v2.pkl --canary default@1:10
                                    load two versions; route 10% of traffic
                                    (by deterministic trace-id hash) to v1
@@ -314,11 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers",
-        default="1",
-        metavar="N|auto",
-        help="batcher drainers (and pool workers with --backend pool); "
-        "'auto' autoscales between 1 and min(4, cpu count) from "
-        "queue-depth/p95 gauges (default: 1)",
+        type=int,
+        default=1,
+        metavar="N",
+        help="batcher drainer threads, and pool worker processes with "
+        "--backend pool (default: 1)",
     )
     serve.add_argument(
         "--canary",
@@ -839,15 +835,31 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro import obs
     from repro.serve import ModelRegistry, ReproServer, ServeConfig
+    from repro.serve.registry import parse_canary_spec
 
+    try:
+        config = ServeConfig(
+            host=args.host,
+            port=args.port,
+            max_batch=args.max_batch,
+            max_wait_ms=args.max_wait_ms,
+            max_queue=args.max_queue,
+            request_timeout_s=args.timeout_ms / 1000.0,
+            slo_latency_p95_ms=args.slo_p95_ms,
+            slo_error_rate_target=args.slo_error_rate,
+            slo_window_s=args.slo_window_s,
+            resource_interval_s=args.resource_interval_s,
+            backend=args.backend,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        print(f"bad serve option: {exc}")
+        return 2
     if args.log_json is not None:
         # Enable before the server starts so it streams rather than
         # owning an in-memory-only context.
         obs.reset()
         obs.enable(jsonl_path=args.log_json)
-    import os
-
-    from repro.serve.registry import parse_canary_spec
 
     registry = ModelRegistry(warm=not args.no_warm)
     for path in args.model:  # repeated --model = successive versions
@@ -863,46 +875,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"bad --shadow spec {args.shadow!r}; expected name@version")
             return 2
         registry.set_shadow(shadow_name, shadow_version)
-    if args.workers == "auto":
-        autoscale = True
-        workers = 1
-        autoscale_max = max(1, min(4, os.cpu_count() or 1))
-    else:
-        autoscale = False
-        try:
-            workers = int(args.workers)
-        except ValueError:
-            print(f"--workers must be an integer or 'auto', got {args.workers!r}")
-            return 2
-        autoscale_max = max(workers, 1)
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        max_queue=args.max_queue,
-        request_timeout_s=args.timeout_ms / 1000.0,
-        slo_latency_p95_ms=args.slo_p95_ms,
-        slo_error_rate_target=args.slo_error_rate,
-        slo_window_s=args.slo_window_s,
-        resource_interval_s=args.resource_interval_s,
-        backend=args.backend,
-        pool_workers=workers,
-        batcher_workers=workers,
-        autoscale=autoscale,
-        autoscale_max=autoscale_max,
-    )
     server = ReproServer(registry, config)
     server.start()
     # The exact "listening on" line is the startup contract scripts
     # (e.g. the serve smoke tier) parse to learn the ephemeral port.
-    workers_desc = "auto" if autoscale else str(workers)
     print(
         f"listening on {server.url}  "
         f"(model {entry.name} v{entry.version}: {entry.model.extractor.name}, "
         f"max_batch={config.max_batch}, max_wait_ms={config.max_wait_ms:g}, "
         f"max_queue={config.max_queue}, backend={config.backend}, "
-        f"workers={workers_desc})",
+        f"workers={config.workers})",
         flush=True,
     )
     try:

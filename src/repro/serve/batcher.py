@@ -9,12 +9,12 @@ than one when fused into a single encoder/CNN pass.  The
 * ``submit`` enqueues a request onto a **bounded** queue; a full queue
   sheds the request immediately (:class:`RequestShed` -> HTTP 429)
   instead of letting latency collapse for everyone;
-* one or more drainer threads (``workers``, resizable at runtime via
-  :meth:`MicroBatcher.resize`) pull from the shared queue.  A request
-  that finds nothing queued behind it runs at once (an idle server pays
-  no coalescing delay); otherwise the drainer fuses requests until its
-  batch holds ``max_batch`` graphs or ``max_wait_ms`` has passed since
-  the oldest request in the batch arrived, whichever comes first;
+* a fixed number of drainer threads (``workers``) pull from the shared
+  queue.  A request that finds nothing queued behind it runs at once (an
+  idle server pays no coalescing delay); otherwise the drainer fuses
+  requests until its batch holds ``max_batch`` graphs or ``max_wait_ms``
+  has passed since the oldest request in the batch arrived, whichever
+  comes first;
 * each request carries an optional **deadline**; requests that expire
   while queued are answered with :class:`DeadlineExceeded` (HTTP 504)
   *before* wasting a slot in the forward pass;
@@ -22,12 +22,6 @@ than one when fused into a single encoder/CNN pass.  The
   closes, but every already-admitted request whose deadline has not
   expired still runs through a fused pass and gets its real answer —
   shutdown never silently drops in-flight work.
-
-The :class:`Autoscaler` closes the loop between the queue-depth /
-p95-latency gauges and the drainer count: a deterministic ``tick()``
-(testable without threads or sleeps) applies consecutive-tick
-hysteresis plus a cooldown so the worker count climbs under sustained
-pressure and decays when idle without flapping on oscillating load.
 
 Correctness is non-negotiable: because every pipeline stage is per-graph
 independent, the fused pass is bitwise-identical to running each request
@@ -63,7 +57,6 @@ from repro import obs
 from repro.graph.graph import Graph
 
 __all__ = [
-    "Autoscaler",
     "BATCH_SIZE_BUCKETS",
     "BatcherStopped",
     "DeadlineExceeded",
@@ -101,10 +94,6 @@ _SERVE_METRIC_HELP = {
     "serve_infer_seconds": "Fused forward-pass latency.",
     "serve_queue_wait_seconds": "Per-request wait from admission to batch collection.",
     "serve_batch_wait_seconds": "Per-request wait from batch collection to the fused pass.",
-    "serve_batcher_workers": "Drainer threads currently running per batcher, last observation.",
-    "serve_autoscale_up_total": "Autoscaler scale-up decisions applied.",
-    "serve_autoscale_down_total": "Autoscaler scale-down decisions applied.",
-    "serve_autoscale_errors_total": "Autoscaler ticks that raised (the loop keeps ticking).",
 }
 
 
@@ -128,10 +117,6 @@ def register_serve_metrics() -> None:
     obs.histogram("serve_infer_seconds", INFER_SECONDS_BUCKETS)
     obs.histogram("serve_queue_wait_seconds", WAIT_SECONDS_BUCKETS)
     obs.histogram("serve_batch_wait_seconds", WAIT_SECONDS_BUCKETS)
-    obs.gauge("serve_batcher_workers")
-    obs.counter("serve_autoscale_up_total")
-    obs.counter("serve_autoscale_down_total")
-    obs.counter("serve_autoscale_errors_total")
     registry = obs.get_metrics()
     for name, help_text in _SERVE_METRIC_HELP.items():
         registry.describe(name, help_text)
@@ -238,8 +223,7 @@ class MicroBatcher:
     max_queue:
         Admission-queue bound in *requests*; beyond it ``submit`` sheds.
     workers:
-        Initial drainer-thread count; resizable later via :meth:`resize`
-        (the :class:`Autoscaler` does exactly that from gauge readings).
+        Drainer-thread count, fixed for the batcher's lifetime.
     """
 
     def __init__(
@@ -268,8 +252,7 @@ class MicroBatcher:
         self._closing = threading.Event()  # graceful: drain, then exit
         self._lock = threading.Lock()
         self._threads: list[threading.Thread] = []
-        self._target_workers = workers
-        self._retire = 0  # drainers to retire after a shrink
+        self._workers = workers
         self._carries: dict[int, _Pending] = {}  # thread ident -> carry
         self._peak_depth = 0
         self._thread_ids = itertools.count(1)
@@ -277,49 +260,21 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _spawn_locked(self) -> None:
-        thread = threading.Thread(
-            target=self._run,
-            name=f"repro-serve-batcher-{next(self._thread_ids)}",
-            daemon=True,
-        )
-        self._threads.append(thread)
-        thread.start()
-
     def start(self) -> "MicroBatcher":
         register_serve_metrics()
         with self._lock:
             self._stop.clear()
             self._closing.clear()
             self._threads = [t for t in self._threads if t.is_alive()]
-            while len(self._threads) < self._target_workers:
-                self._spawn_locked()
-        self._note_workers()
+            while len(self._threads) < self._workers:
+                thread = threading.Thread(
+                    target=self._run,
+                    name=f"repro-serve-batcher-{next(self._thread_ids)}",
+                    daemon=True,
+                )
+                self._threads.append(thread)
+                thread.start()
         return self
-
-    def resize(self, workers: int) -> int:
-        """Set the drainer count; returns the new target.
-
-        Growing spawns threads immediately; shrinking retires drainers
-        cooperatively — each surplus drainer exits at the top of its
-        collect loop, never mid-batch, so no request is abandoned.
-        """
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        with self._lock:
-            self._target_workers = workers
-            if self._closing.is_set() or self._stop.is_set():
-                return workers
-            self._threads = [t for t in self._threads if t.is_alive()]
-            live = len(self._threads)
-            if workers > live:
-                self._retire = 0
-                while len(self._threads) < workers:
-                    self._spawn_locked()
-            elif workers < live:
-                self._retire = live - workers
-        self._note_workers()
-        return workers
 
     @property
     def workers(self) -> int:
@@ -372,9 +327,6 @@ class MicroBatcher:
         with self._lock:
             carried = len(self._carries)
         return self._queue.qsize() + carried
-
-    def _note_workers(self) -> None:
-        obs.gauge("serve_batcher_workers").set(self.workers)
 
     # ------------------------------------------------------------------
     # Submission (called from any thread)
@@ -496,23 +448,8 @@ class MicroBatcher:
             total += len(nxt.graphs)
         return batch
 
-    def _should_retire(self) -> bool:
-        """Cooperative shrink: one surplus drainer exits per retire token."""
-        with self._lock:
-            if self._retire <= 0:
-                return False
-            self._retire -= 1
-            try:
-                self._threads.remove(threading.current_thread())
-            except ValueError:  # pragma: no cover - already swept
-                pass
-        self._note_workers()
-        return True
-
     def _run(self) -> None:
         while not self._stop.is_set():
-            if self._should_retire():
-                return
             batch = self._next_batch()
             if not batch:
                 if self._closing.is_set() and self.depth() == 0:
@@ -574,142 +511,3 @@ class MicroBatcher:
                 pending.finish(result=proba[offset : offset + span], extra=extra)
                 offset += span
 
-
-class Autoscaler:
-    """Gauge-driven worker scaling with hysteresis and cooldown.
-
-    Reads queue depth and p95 latency, applies one +1/-1 step at a time
-    to a ``scale_fn`` (typically :meth:`MicroBatcher.resize`, optionally
-    fanned out to an :class:`~repro.serve.pool.InferencePool` too).  The
-    decision logic is a pure function of injected callables plus a
-    ``now_fn`` clock, so tests drive it tick by tick with fake gauges
-    and a fake clock — no threads, no sleeps, no flakes.
-
-    Scaling rules (evaluated on every :meth:`tick`):
-
-    * **pressure** = queue depth >= ``up_queue_depth``, or p95 latency
-      >= ``up_p95_ms`` (when configured);
-    * ``up_ticks`` *consecutive* pressured ticks -> +1 worker (to at
-      most ``max_workers``);
-    * ``down_ticks`` consecutive idle ticks (depth <=
-      ``down_queue_depth`` and p95 below the up threshold) -> -1 worker
-      (to at least ``min_workers``);
-    * any scaling step arms a ``cooldown_s`` window during which no
-      further step fires, and resets both streaks — so an oscillating
-      load can never flap the worker count faster than once per
-      cooldown.
-    """
-
-    def __init__(
-        self,
-        *,
-        min_workers: int = 1,
-        max_workers: int = 4,
-        depth_fn: Callable[[], int],
-        workers_fn: Callable[[], int],
-        scale_fn: Callable[[int], object],
-        p95_fn: Callable[[], float] | None = None,
-        up_queue_depth: int = 8,
-        down_queue_depth: int = 0,
-        up_p95_ms: float | None = None,
-        up_ticks: int = 2,
-        down_ticks: int = 5,
-        cooldown_s: float = 10.0,
-        now_fn: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if min_workers < 1:
-            raise ValueError(f"min_workers must be >= 1, got {min_workers}")
-        if max_workers < min_workers:
-            raise ValueError(
-                f"max_workers ({max_workers}) must be >= min_workers ({min_workers})"
-            )
-        if up_ticks < 1 or down_ticks < 1:
-            raise ValueError("up_ticks and down_ticks must be >= 1")
-        self.min_workers = min_workers
-        self.max_workers = max_workers
-        self.depth_fn = depth_fn
-        self.workers_fn = workers_fn
-        self.scale_fn = scale_fn
-        self.p95_fn = p95_fn
-        self.up_queue_depth = up_queue_depth
-        self.down_queue_depth = down_queue_depth
-        self.up_p95_ms = up_p95_ms
-        self.up_ticks = up_ticks
-        self.down_ticks = down_ticks
-        self.cooldown_s = cooldown_s
-        self.now_fn = now_fn
-        self._up_streak = 0
-        self._down_streak = 0
-        self._last_change: float | None = None
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
-
-    # -- decision logic -------------------------------------------------
-    def tick(self) -> int:
-        """Observe gauges, maybe apply one scaling step; returns the delta."""
-        depth = self.depth_fn()
-        p95 = self.p95_fn() if self.p95_fn is not None else 0.0
-        pressured = depth >= self.up_queue_depth or (
-            self.up_p95_ms is not None and p95 >= self.up_p95_ms
-        )
-        idle = depth <= self.down_queue_depth and not pressured
-        if pressured:
-            self._up_streak += 1
-            self._down_streak = 0
-        elif idle:
-            self._down_streak += 1
-            self._up_streak = 0
-        else:
-            self._up_streak = 0
-            self._down_streak = 0
-        now = self.now_fn()
-        if (
-            self._last_change is not None
-            and now - self._last_change < self.cooldown_s
-        ):
-            return 0
-        workers = self.workers_fn()
-        if self._up_streak >= self.up_ticks and workers < self.max_workers:
-            self.scale_fn(workers + 1)
-            obs.counter("serve_autoscale_up_total").inc()
-            self._last_change = now
-            self._up_streak = 0
-            self._down_streak = 0
-            return 1
-        if self._down_streak >= self.down_ticks and workers > self.min_workers:
-            self.scale_fn(workers - 1)
-            obs.counter("serve_autoscale_down_total").inc()
-            self._last_change = now
-            self._up_streak = 0
-            self._down_streak = 0
-            return -1
-        return 0
-
-    # -- background runner ----------------------------------------------
-    def start(self, interval_s: float = 1.0) -> "Autoscaler":
-        """Tick periodically on a daemon thread until :meth:`stop`."""
-        if self._thread is not None and self._thread.is_alive():
-            return self
-        self._stop.clear()
-
-        def _loop() -> None:
-            while not self._stop.wait(interval_s):
-                try:
-                    self.tick()
-                except Exception as exc:  # noqa: BLE001 - scaling is best-effort
-                    obs.counter("serve_autoscale_errors_total").inc()
-                    obs.event(
-                        "autoscale_tick_failed",
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-        self._thread = threading.Thread(
-            target=_loop, name="repro-serve-autoscaler", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None

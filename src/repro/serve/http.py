@@ -65,7 +65,6 @@ from repro.obs.reqtrace import (
 from repro.obs.resources import ResourceSampler, sample_resources
 from repro.obs.slo import SloConfig, SloMonitor
 from repro.serve.batcher import (
-    Autoscaler,
     BatcherStopped,
     DeadlineExceeded,
     MicroBatcher,
@@ -112,20 +111,22 @@ class ServeConfig:
     trace_capacity: int = 512
     # -- inference backend (see repro.serve.pool) -----------------------
     backend: str = "thread"  # "thread" (in-process) | "pool" (processes)
-    pool_workers: int = 1
+    workers: int = 1  # drainer threads per batcher, and pool processes
     pool_max_respawns: int = 3
-    batcher_workers: int = 1
-    # -- autoscaling (see repro.serve.batcher.Autoscaler) ---------------
-    autoscale: bool = False
-    autoscale_min: int = 1
-    autoscale_max: int = 4
-    autoscale_interval_s: float = 0.5
 
     def __post_init__(self) -> None:
+        # Batchers are built lazily on the first request, so a bad value
+        # must fail here, before the server binds, not as a 500 later.
         if self.backend not in ("thread", "pool"):
             raise ValueError(
                 f"backend must be 'thread' or 'pool', got {self.backend!r}"
             )
+        for name in ("workers", "max_batch", "max_queue"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.max_wait_ms < 0:
+            raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
 
 
 class ReproServer:
@@ -138,7 +139,6 @@ class ReproServer:
         self._serve_thread: threading.Thread | None = None
         self._batchers: dict[str, MicroBatcher] = {}
         self._batcher_lock = threading.Lock()
-        self._autoscalers: dict[str, Autoscaler] = {}
         self._pool: InferencePool | None = None
         self._pool_lock = threading.Lock()
         self._started_at = 0.0
@@ -228,9 +228,6 @@ class ReproServer:
             self._serve_thread = None
         with self._batcher_lock:
             batchers, self._batchers = dict(self._batchers), {}
-            scalers, self._autoscalers = dict(self._autoscalers), {}
-        for scaler in scalers.values():
-            scaler.stop()
         for batcher in batchers.values():
             batcher.stop()
         with self._pool_lock:
@@ -283,33 +280,10 @@ class ReproServer:
                     max_batch=cfg.max_batch,
                     max_wait_ms=cfg.max_wait_ms,
                     max_queue=cfg.max_queue,
-                    workers=cfg.batcher_workers,
+                    workers=cfg.workers,
                 ).start()
                 self._batchers[key] = batcher
-                if cfg.autoscale:
-                    self._autoscalers[key] = Autoscaler(
-                        min_workers=cfg.autoscale_min,
-                        max_workers=cfg.autoscale_max,
-                        depth_fn=batcher.depth,
-                        workers_fn=lambda b=batcher: b.workers,
-                        scale_fn=lambda n, b=batcher: self._apply_scale(b, n),
-                        p95_fn=lambda: obs.gauge("slo_latency_p95_ms").value,
-                        up_queue_depth=max(2, cfg.max_queue // 4),
-                    ).start(cfg.autoscale_interval_s)
             return batcher
-
-    def _apply_scale(self, batcher: MicroBatcher, workers: int) -> None:
-        """One autoscaler step: drainers first, pool workers in lockstep.
-
-        With the pool backend, drainer threads only pipeline handoffs —
-        the forward passes run in pool processes — so the pool must grow
-        with the batcher for added drainers to buy real parallelism.
-        """
-        batcher.resize(workers)
-        with self._pool_lock:
-            pool = self._pool
-        if pool is not None:
-            pool.resize(workers)
 
     def _pool_for(self, entry) -> InferencePool | None:
         """The shared process pool, created on first use (pool backend)."""
@@ -319,7 +293,7 @@ class ReproServer:
             if self._pool is None:
                 self._pool = InferencePool(
                     entry.path,
-                    workers=self.config.pool_workers,
+                    workers=self.config.workers,
                     max_respawns=self.config.pool_max_respawns,
                 ).start()
             return self._pool

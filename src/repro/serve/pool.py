@@ -202,7 +202,7 @@ class _WorkerHandle:
 # ----------------------------------------------------------------------
 
 class InferencePool:
-    """A resizable pool of inference worker processes.
+    """A fixed-size pool of inference worker processes.
 
     Parameters
     ----------
@@ -210,7 +210,8 @@ class InferencePool:
         Artifact the workers load (per-job headers may override it, so
         hot-swapped registry entries reach the pool without a restart).
     workers:
-        Initial worker-process count.
+        Worker-process count, fixed for the pool's lifetime (a dead
+        worker's replacement takes its place).
     max_respawns:
         Replacement-worker budget; once spent the pool degrades and
         every subsequent job raises :class:`PoolError`.
@@ -236,7 +237,7 @@ class InferencePool:
         self._ctx = mp.get_context(
             "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         )
-        self._target = workers
+        self._size = workers
         self._lock = threading.Lock()
         self._workers: dict[int, _WorkerHandle] = {}
         self._idle: queue.Queue[_WorkerHandle] = queue.Queue()
@@ -253,7 +254,7 @@ class InferencePool:
             if self._started:
                 return self
             self._started = True
-            for _ in range(self._target):
+            for _ in range(self._size):
                 self._spawn_locked()
         return self
 
@@ -276,37 +277,6 @@ class InferencePool:
             handle.close()
         obs.gauge("serve_pool_workers").set(0)
 
-    def resize(self, workers: int) -> int:
-        """Grow or shrink the live worker set toward ``workers``.
-
-        Growth is immediate.  Shrinking retires *idle* workers only —
-        a worker mid-job finishes its batch and is retired when checked
-        back in, so resize never tears an in-flight forward pass.
-        Returns the new target.
-        """
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        with self._lock:
-            self._target = workers
-            if not self._started:
-                return workers
-            while len(self._workers) < workers:
-                self._spawn_locked()
-            # Retire surplus workers that are idle right now; busy ones
-            # retire at check-in (_checkin notices the shrunken target).
-            surplus: list[_WorkerHandle] = []
-            while len(self._workers) > workers:
-                try:
-                    handle = self._idle.get_nowait()
-                except queue.Empty:
-                    break
-                self._workers.pop(handle.id, None)
-                surplus.append(handle)
-            obs.gauge("serve_pool_workers").set(len(self._workers))
-        for handle in surplus:
-            handle.close()
-        return workers
-
     @property
     def workers(self) -> int:
         with self._lock:
@@ -325,7 +295,6 @@ class InferencePool:
         return {
             "backend": "pool",
             "workers": self.workers,
-            "target_workers": self._target,
             "respawns": self._respawns,
             "max_respawns": self.max_respawns,
             "degraded": self._degraded,
@@ -351,18 +320,16 @@ class InferencePool:
 
     def _checkin(self, handle: _WorkerHandle) -> None:
         with self._lock:
-            if handle.id in self._workers and len(self._workers) <= self._target:
+            if handle.id in self._workers:
                 self._idle.put(handle)
                 return
-            self._workers.pop(handle.id, None)
-            obs.gauge("serve_pool_workers").set(len(self._workers))
-        handle.close()
+        handle.close()  # stop() dropped it while it ran this job
 
     def _note_death(self, handle: _WorkerHandle) -> None:
         """Account a dead worker; respawn within budget, else degrade."""
         with self._lock:
             if self._workers.pop(handle.id, None) is None:
-                return  # already retired
+                return  # already dropped by stop()
             obs.event(
                 "pool_worker_died",
                 pool=self.name,

@@ -520,22 +520,6 @@ class TestMultiWorker:
             t.join(timeout=5.0)
         batcher.stop()
 
-    def test_resize_grows_and_shrinks(self, metrics):
-        batcher = MicroBatcher(RecordingInfer(), workers=1).start()
-        try:
-            batcher.resize(3)
-            assert batcher.workers == 3
-            batcher.resize(1)
-            deadline = time.monotonic() + 5.0
-            while batcher.workers > 1 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert batcher.workers == 1
-            # Still serves correctly after shrinking.
-            result, _ = batcher.submit([7.0])
-            assert result[0, 0] == 7.0
-        finally:
-            batcher.stop()
-
     def test_multi_worker_results_route_to_the_right_caller(self, metrics):
         batcher = MicroBatcher(
             RecordingInfer(), max_batch=4, max_wait_ms=1.0, workers=4

@@ -23,7 +23,8 @@ from repro.serve.pool import InferencePool
 
 @pytest.fixture(scope="module")
 def pool_servers(model_path):
-    """One in-thread server plus pool servers at 1/2/4 workers."""
+    """One in-thread server plus pool servers at 1/2/4 workers (each
+    with as many drainer threads as pool processes, as the CLI runs)."""
     servers = {}
     registry = ModelRegistry()
     registry.load(model_path)
@@ -42,7 +43,7 @@ def pool_servers(model_path):
                 max_wait_ms=1.0,
                 max_queue=64,
                 backend="pool",
-                pool_workers=workers,
+                workers=workers,
             ),
         ).start()
     yield servers
@@ -144,6 +145,21 @@ class TestBackendDifferential:
         finally:
             thread_client.close()
             pool_client.close()
+
+
+class TestWorkersKnob:
+    """``ServeConfig.workers`` sizes the drainers and the pool alike."""
+
+    def test_workers_sizes_drainers_and_pool(self, pool_servers, train_data):
+        graphs, _ = train_data
+        client = ServeClient(pool_servers["pool2"].url)
+        try:
+            client.predict_proba(graphs[:1])
+            health = client.healthz()
+        finally:
+            client.close()
+        assert health["batchers"]["default"]["workers"] == 2
+        assert health["backend"]["pool"]["workers"] == 2
 
 
 class TestPoolDirectDifferential:

@@ -20,7 +20,14 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.obs.reqtrace import TRACE_HEADER
-from repro.serve import MicroBatcher, ServeClient, ServeClientError
+from repro.cli import main
+from repro.serve import (
+    MicroBatcher,
+    ReproServer,
+    ServeClient,
+    ServeClientError,
+    ServeConfig,
+)
 from repro.serve.codec import decode_predict_response, encode_predict_request
 from tests.conftest import random_graphs
 
@@ -136,6 +143,35 @@ class TestEndpoints:
         assert "serve_batch_size_count" in text
         assert "serve_deadline_expired_total" in text
         assert "serve_request_seconds_count" in text
+
+
+class TestServeConfig:
+    """Bad batcher settings fail at construction, not as a 500 per request."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"workers": 0},
+            {"workers": -1},
+            {"max_batch": 0},
+            {"max_queue": 0},
+            {"max_wait_ms": -1},
+        ],
+    )
+    def test_bad_batcher_settings_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            ServeConfig(**kwargs)
+
+    def test_cli_exits_2_before_binding(self, model_path, monkeypatch, capsys):
+        def refuse_start(self):
+            raise AssertionError("server started despite a bad --max-batch")
+
+        monkeypatch.setattr(ReproServer, "start", refuse_start)
+        argv = ["serve", "--model", str(model_path), "--port", "0", "--max-batch", "0"]
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert "max_batch must be >= 1" in out
+        assert "listening on" not in out
 
 
 class TestStatusContract:

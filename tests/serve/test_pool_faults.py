@@ -136,7 +136,7 @@ class TestServerDegradation:
                 max_batch=16,
                 max_wait_ms=1.0,
                 backend="pool",
-                pool_workers=1,
+                workers=1,
                 pool_max_respawns=2,
             ),
         ).start()
@@ -164,7 +164,7 @@ class TestServerDegradation:
             registry,
             ServeConfig(
                 port=0, max_batch=16, max_wait_ms=1.0,
-                backend="pool", pool_workers=2,
+                backend="pool", workers=2,
             ),
         ).start()
         client = ServeClient(server.url)
