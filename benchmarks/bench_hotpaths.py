@@ -1,9 +1,9 @@
 """Encoder hot paths: vectorized vs preserved reference oracles.
 
 Times each vectorized stage against the original implementation it
-replaced (kept in-tree as ``_reference_*``), checks the outputs are
-*bitwise* identical while doing so, and records everything to
-``BENCH_hotpaths.json`` in the repo root:
+replaced (the ``_reference_*`` oracles in ``tests/oracles``), checks the
+outputs are *bitwise* identical while doing so, and records everything
+to ``BENCH_hotpaths.json`` in the repo root:
 
 * ``receptive_fields`` — lexsort table construction vs per-vertex BFS
   expansion (`core/receptive_field.py`),
@@ -36,8 +36,8 @@ The full run asserts the tentpole acceptance: >= 3x on at least two of
 plus the per-stage floors in ``acceptance.floors`` (WL remap and gram
 assembly must each hold >= 3x on their own).
 
-Run with ``pytest benchmarks/bench_hotpaths.py -q`` or
-``python benchmarks/bench_hotpaths.py``.
+Run from the repository root with ``pytest benchmarks/bench_hotpaths.py -q``
+or ``python -m benchmarks.bench_hotpaths``.
 """
 
 from __future__ import annotations
@@ -51,9 +51,8 @@ import numpy as np
 
 from benchmarks._common import print_header, print_table
 from repro.core.alignment import centrality_scores, union_vertex_order
-from repro.core.pipeline import _assemble_fused, _reference_encode_stages
+from repro.core.pipeline import _assemble_fused
 from repro.core.receptive_field import (
-    _reference_all_receptive_fields,
     all_receptive_fields,
     all_receptive_fields_many,
 )
@@ -62,17 +61,22 @@ from repro.features import extract_vertex_feature_matrices
 from repro.features.vertex_maps import (
     ShortestPathVertexFeatures,
     WLVertexFeatures,
-    _reference_sp_vertex_counts,
-    _reference_wl_stable_colors,
     wl_stable_colors_many,
 )
 from repro.kernels.base import ExplicitFeatureKernel
-from repro.graph.shortest_paths import _reference_apsp_bfs, apsp_bfs
-from repro.nn.conv1d import (
-    Conv1D,
-    _reference_conv1d_backward,
-    _reference_conv1d_forward,
+from repro.graph.shortest_paths import apsp_bfs
+from repro.nn.conv1d import Conv1D
+from tests.oracles.core import (
+    _reference_all_receptive_fields,
+    _reference_encode_stages,
 )
+from tests.oracles.features import (
+    _reference_sp_vertex_counts,
+    _reference_wl_stable_colors,
+)
+from tests.oracles.graph import _reference_apsp_bfs
+from tests.oracles.kernels import _reference_assemble_gram
+from tests.oracles.nn import _reference_conv1d_backward, _reference_conv1d_forward
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -307,7 +311,7 @@ def test_gram_assembly():
         return kernel._assemble_gram(phi)
 
     def reference():
-        return kernel._reference_assemble_gram(phi)
+        return _reference_assemble_gram(phi)
 
     vectorized()  # warmup
     vec_s, vec = _best_of(vectorized)

@@ -17,7 +17,7 @@ assembly must each hold >= 3x regardless of what the baseline scored).
 
 Typical use::
 
-    python benchmarks/bench_hotpaths.py          # rewrites BENCH_hotpaths.json
+    python -m benchmarks.bench_hotpaths         # rewrites BENCH_hotpaths.json
     python scripts/check_bench_regression.py     # vs git HEAD's copy
 
 or for the observability-overhead artifact::

@@ -70,7 +70,7 @@
 #                                   code path runs through the fork pool
 #   ./scripts/test-tiers.sh perf    the differential-equivalence harness
 #                                   (tests/equivalence: vectorized hot
-#                                   paths vs their _reference_* oracles,
+#                                   paths vs the tests/oracles package,
 #                                   bitwise) plus a smoke-mode run of the
 #                                   hot-path bench to keep the perf
 #                                   harness itself from rotting; full-

@@ -165,11 +165,7 @@ class GNNBaseline:
             return matrices
         counts = self.features.extract(graphs)
         if fit:
-            vocab = FeatureVocabulary()
-            for vertex_counts in counts:
-                for counter in vertex_counts:
-                    vocab.add_all(counter.keys())
-            self.vocabulary_ = vocab.freeze()
+            self.vocabulary_ = FeatureVocabulary.from_counts(counts)
         check_fitted(self, "vocabulary_")
         assert self.vocabulary_ is not None
         return [self.vocabulary_.vectorize_rows(vc) for vc in counts]

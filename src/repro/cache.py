@@ -320,17 +320,6 @@ class FeatureMapCache:
         memory-only.
     memory_items:
         Max entries held by the in-memory LRU tier (0 disables it).
-    mmap_read:
-        Memory-map disk reads where safe (default True).  ``np.savez``
-        stores members uncompressed, so each ``.npy`` member can be
-        mapped in place (``np.memmap`` over the member's data span)
-        instead of copied into fresh arrays — a disk hit then costs
-        page-table entries, not resident bytes, which is what lets the
-        streaming pipeline hold "hot" encoded shards far beyond RAM.
-        Object-dtype members (pickled vocabularies/Counters) and any
-        file the mapper cannot parse fall back to ``np.load``; a file
-        neither path can read is still a miss, dropped and recomputed.
-        Mapped arrays are read-only views backed by the cache file.
     remote:
         Optional third tier consulted after memory and disk miss: any
         object with ``fetch(key, namespace) -> payload | None`` (the
@@ -344,14 +333,12 @@ class FeatureMapCache:
         self,
         cache_dir: str | os.PathLike | None = None,
         memory_items: int = DEFAULT_MEMORY_ITEMS,
-        mmap_read: bool = True,
         remote=None,
     ) -> None:
         if memory_items < 0:
             raise ValueError(f"memory_items must be >= 0, got {memory_items}")
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.memory_items = memory_items
-        self.mmap_read = mmap_read
         self.remote = remote
         self.stats = CacheStats()
         self._memory: OrderedDict[str, dict[str, np.ndarray]] = OrderedDict()
@@ -428,6 +415,16 @@ class FeatureMapCache:
     def _read_disk(self, path: Path) -> dict[str, np.ndarray]:
         """Read a disk entry, memory-mapping members when possible.
 
+        ``np.savez`` stores members uncompressed, so each ``.npy`` member
+        can be mapped in place (``np.memmap`` over the member's data
+        span) instead of copied into fresh arrays — a disk hit then
+        costs page-table entries, not resident bytes, which is what lets
+        the streaming pipeline hold "hot" encoded shards far beyond RAM.
+        Mapped arrays are read-only views backed by the cache file.
+        Object-dtype members (pickled vocabularies/Counters), compressed
+        containers and any file the mapper cannot parse fall back to a
+        copying ``np.load``.
+
         The mmap attempt validates the full zip structure (central
         directory, local headers, npy headers, member spans inside the
         file), so a truncated or damaged entry fails *here* — cleanly,
@@ -435,14 +432,13 @@ class FeatureMapCache:
         fallback then fails on the same damage, turning the read into a
         miss for the caller.
         """
-        if self.mmap_read:
-            try:
-                payload = _mmap_npz(path)
-            except Exception:
-                pass  # not mappable (object dtype, compressed, damaged)
-            else:
-                self.stats.mmap_hits += 1
-                return payload
+        try:
+            payload = _mmap_npz(path)
+        except Exception:
+            pass  # not mappable (object dtype, compressed, damaged)
+        else:
+            self.stats.mmap_hits += 1
+            return payload
         with np.load(path, allow_pickle=True) as npz:
             return {name: npz[name] for name in npz.files}
 

@@ -24,7 +24,7 @@ from repro.features.vocabulary import FeatureVocabulary
 from repro.graph.graph import Graph
 from repro.nn.model import History, Trainer, predict_labels, predict_proba
 from repro.utils.rng import as_rng
-from repro.utils.validation import check_fitted, check_labels
+from repro.utils.validation import check_fitted, check_labels, check_positive
 
 __all__ = ["DeepMapClassifier", "deepmap_gk", "deepmap_sp", "deepmap_wl"]
 
@@ -57,7 +57,7 @@ class DeepMapClassifier:
         the training set).  Section 6 notes the feature-map dimension
         "may be very high and leads to low efficiency for CNNs"; this is
         the standard frequency-truncation mitigation.  ``None`` keeps
-        everything (the paper's setting).
+        everything (the paper's setting); otherwise it must be >= 1.
     seed:
         Controls initialisation, dropout and shuffling.
     cache:
@@ -87,6 +87,8 @@ class DeepMapClassifier:
             self.extractor: VertexFeatureExtractor = _EXTRACTORS[feature_map]()
         else:
             self.extractor = feature_map
+        if max_features is not None:
+            check_positive("max_features", max_features)
         self.r = r
         self.ordering = ordering
         self.readout = readout
@@ -117,20 +119,9 @@ class DeepMapClassifier:
         with obs.span("extract"):
             counts = cached_vertex_counts(self.extractor, graphs, cache=self.cache)
         if fit_vocabulary:
-            totals: dict = {}
-            for vertex_counts in counts:
-                for counter in vertex_counts:
-                    for key, value in counter.items():
-                        totals[key] = totals.get(key, 0) + value
-            keys = totals.keys()
-            if self.max_features is not None and len(totals) > self.max_features:
-                # Keep the most frequent substructures; break count ties
-                # by key repr so the selection is deterministic.
-                keys = sorted(totals, key=lambda k: (-totals[k], repr(k)))
-                keys = keys[: self.max_features]
-            vocab = FeatureVocabulary()
-            vocab.add_all(keys)
-            self.vocabulary_ = vocab.freeze()
+            self.vocabulary_ = FeatureVocabulary.from_counts(
+                counts, self.max_features
+            )
         assert self.vocabulary_ is not None
         with obs.span("vectorize", m=self.vocabulary_.size):
             return [self.vocabulary_.vectorize_rows(vc) for vc in counts]

@@ -16,8 +16,8 @@ the hop-distance matrix, and a single lexsort over (hop, global
 tie-break rank) replaces the per-vertex Python BFS + ``sorted`` calls.
 Selecting the first ``r - 1`` non-center vertices in (hop, rank) order is
 exactly the reference's layer-by-layer expansion with in-layer top-score
-overflow; the preserved per-vertex oracle (:func:`receptive_field`,
-:func:`_reference_all_receptive_fields`) pins this bitwise in
+overflow; the per-vertex path (:func:`receptive_field`, stacked by the
+oracle in ``tests/oracles/core.py``) pins this bitwise in
 ``tests/equivalence``.
 """
 
@@ -214,10 +214,3 @@ def all_receptive_fields_many(
         out[int(starts[gi]) : int(starts[gi]) + int(sizes[gi])]
         for gi in range(n_graphs)
     ]
-
-
-def _reference_all_receptive_fields(
-    g: Graph, r: int, scores: np.ndarray
-) -> np.ndarray:
-    """Original per-vertex stacking loop (oracle for tests/equivalence)."""
-    return np.stack([receptive_field(g, v, r, scores) for v in range(g.n)])

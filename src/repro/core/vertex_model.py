@@ -119,11 +119,7 @@ class DeepMapVertexClassifier:
     def _matrices(self, graphs: list[Graph], fit: bool) -> list[np.ndarray]:
         counts = self.extractor.extract(graphs)
         if fit:
-            vocab = FeatureVocabulary()
-            for vc in counts:
-                for counter in vc:
-                    vocab.add_all(counter.keys())
-            self.vocabulary_ = vocab.freeze()
+            self.vocabulary_ = FeatureVocabulary.from_counts(counts)
         check_fitted(self, "vocabulary_")
         assert self.vocabulary_ is not None
         return [self.vocabulary_.vectorize_rows(vc) for vc in counts]

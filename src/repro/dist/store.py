@@ -31,7 +31,7 @@ import numpy as np
 from repro import obs
 from repro.cache import FeatureMapCache
 from repro.datasets.streaming import StreamingGraphDataset
-from repro.features.vertex_maps import cached_vertex_counts
+from repro.features.vertex_maps import cached_vertex_counts, sum_vertex_maps
 from repro.features.vocabulary import FeatureVocabulary
 from repro.kernels.base import ExplicitFeatureKernel
 from repro.stream import partition_bounds
@@ -97,15 +97,6 @@ def sharded_gram(
             counts.extend(
                 cached_vertex_counts(kernel.extractor, graphs, cache=cache)
             )
-        vocab = FeatureVocabulary()
-        for vertex_counts in counts:
-            for counter in vertex_counts:
-                vocab.add_all(counter.keys())
-        vocab.freeze()
-        phi = np.stack(
-            [
-                m.sum(axis=0) if m.size else np.zeros(vocab.size)
-                for m in (vocab.vectorize_rows(vc) for vc in counts)
-            ]
-        )
+        vocab = FeatureVocabulary.from_counts(counts)
+        phi = sum_vertex_maps((vocab.vectorize_rows(vc) for vc in counts), vocab.size)
         return kernel._assemble_gram(phi)

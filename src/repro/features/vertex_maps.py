@@ -23,9 +23,9 @@ the ``X`` arrays consumed by Algorithm 1.
 
 from __future__ import annotations
 
-import hashlib
 from abc import ABC, abstractmethod
 from collections import Counter
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -328,9 +328,8 @@ def wl_stable_colors_many(graphs: list[Graph], h: int) -> list[list[list[int]]]:
 
     .. note::
        The codes are *partition-equivalent* to — but numerically
-       different from — the blake2b hashes of
-       :func:`_reference_wl_stable_colors`, the pre-remap oracle kept
-       for the differential harness: per iteration, two vertices share a
+       different from — the blake2b hashes of the pre-remap oracle in
+       ``tests/oracles/features.py``: per iteration, two vertices share a
        code exactly when the oracle gives them equal hashes
        (``tests/equivalence/test_wl_equiv.py`` pins this).  Downstream
        gram matrices (WL subtree, WL optimal assignment) depend only on
@@ -366,55 +365,6 @@ def wl_stable_colors_many(graphs: list[Graph], h: int) -> list[list[list[int]]]:
         [it[a:b].tolist() for it in iterations]
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
-
-
-# ----------------------------------------------------------------------
-# Reference oracles (original per-vertex implementations), kept for the
-# differential-equivalence harness in tests/equivalence.
-# ----------------------------------------------------------------------
-
-def _reference_wl_stable_colors(g: Graph, h: int) -> list[list[int]]:
-    """Original per-vertex blake2b WL refinement (oracle for tests/equivalence).
-
-    Since the integer radix remap, :func:`wl_stable_colors` produces
-    different color *values* than this oracle; the differential tests
-    assert *partition equality* per iteration instead of bitwise equality
-    (two vertices — in the same or different graphs — share a remapped
-    code iff they share a blake2b hash here).  Iteration 0 is still
-    compared exactly (raw labels on both sides).
-    """
-    colors: list[int] = [int(l) for l in g.labels]
-    out = [colors]
-    for _ in range(h):
-        new_colors = []
-        for v in range(g.n):
-            sig = (colors[v], tuple(sorted(colors[int(u)] for u in g.neighbors(v))))
-            digest = hashlib.blake2b(repr(sig).encode(), digest_size=8).digest()
-            new_colors.append(int.from_bytes(digest, "big"))
-        colors = new_colors
-        out.append(colors)
-    return out
-
-
-def _reference_sp_vertex_counts(g: Graph, max_distance: int | None) -> VertexCounts:
-    """Original O(n^2) Python-loop SP triplet counting (oracle)."""
-    from repro.graph.shortest_paths import _reference_apsp_bfs
-
-    dist = _reference_apsp_bfs(g)
-    labels = g.labels
-    per_vertex: VertexCounts = []
-    for v in range(g.n):
-        counter: Counter = Counter()
-        dv = dist[v]
-        for t in range(g.n):
-            d = int(dv[t])
-            if t == v or d <= 0:
-                continue
-            if max_distance is not None and d > max_distance:
-                continue
-            counter[("sp", int(labels[v]), int(labels[t]), d)] += 1
-        per_vertex.append(counter)
-    return per_vertex
 
 
 def wl_joint_refinement(graphs: list[Graph], h: int) -> list[list[np.ndarray]]:
@@ -517,11 +467,7 @@ def extract_vertex_feature_matrices(
         with obs.span("extract"):
             per_graph_counts = extractor.extract(graphs)
         with obs.span("vocabulary"):
-            vocab = FeatureVocabulary()
-            for vertex_counts in per_graph_counts:
-                for counter in vertex_counts:
-                    vocab.add_all(counter.keys())
-            vocab.freeze()
+            vocab = FeatureVocabulary.from_counts(per_graph_counts)
         with obs.span("vectorize", m=vocab.size):
             matrices = [vocab.vectorize_rows(vc) for vc in per_graph_counts]
     if cache is not None and key is not None:
@@ -544,7 +490,14 @@ def graph_feature_maps(
     R-convolution kernel.
     """
     matrices, vocab = extract_vertex_feature_matrices(graphs, extractor)
-    phi = np.stack(
-        [m.sum(axis=0) if m.size else np.zeros(vocab.size) for m in matrices]
-    )
-    return phi, vocab
+    return sum_vertex_maps(matrices, vocab.size), vocab
+
+
+def sum_vertex_maps(matrices: Iterable[np.ndarray], m: int) -> np.ndarray:
+    """Stack one graph feature map per ``(n_i, m)`` vertex-map matrix.
+
+    Each row is the sum of that graph's vertex maps (Equation 7); a graph
+    with no vertices maps to zeros.  ``matrices`` may be a generator, so
+    only one dense matrix needs to be alive at a time.
+    """
+    return np.stack([x.sum(axis=0) if x.size else np.zeros(m) for x in matrices])

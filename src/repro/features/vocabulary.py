@@ -6,6 +6,8 @@ colors) defines the feature space.  :class:`FeatureVocabulary` fixes the
 key -> column assignment once so every graph and vertex in a dataset is
 embedded in the same space — this is what makes Equation 7 of the paper
 (graph map == sum of vertex maps) hold as a literal numpy identity.
+:meth:`FeatureVocabulary.from_counts` is the one place a vocabulary is
+fitted to extracted substructure counts.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Mapping
 
 import numpy as np
+
+from repro.utils.validation import check_positive
 
 __all__ = ["FeatureVocabulary"]
 
@@ -27,6 +31,35 @@ class FeatureVocabulary:
     def __init__(self) -> None:
         self._keys: set[Hashable] = set()
         self._index: dict[Hashable, int] | None = None
+
+    @classmethod
+    def from_counts(
+        cls,
+        counts: Iterable[Iterable[Mapping[Hashable, float]]],
+        max_features: int | None = None,
+    ) -> "FeatureVocabulary":
+        """Frozen vocabulary over every key of per-graph vertex counts.
+
+        ``counts`` yields one list of per-vertex ``{key: count}`` mappings
+        per graph; it is consumed once, so a streamed pass can feed it
+        shard by shard.  With ``max_features``, only the most frequent
+        keys (by total count) are kept, count ties broken by key
+        ``repr`` so the selection is deterministic.
+        """
+        if max_features is not None:
+            check_positive("max_features", max_features)
+        totals: dict = {}
+        for vertex_counts in counts:
+            for counter in vertex_counts:
+                for key, value in counter.items():
+                    totals[key] = totals.get(key, 0) + value
+        keys = totals.keys()
+        if max_features is not None and len(totals) > max_features:
+            keys = sorted(totals, key=lambda k: (-totals[k], repr(k)))
+            keys = keys[:max_features]
+        vocab = cls()
+        vocab.add_all(keys)
+        return vocab.freeze()
 
     # ------------------------------------------------------------------
     def add(self, key: Hashable) -> None:

@@ -8,7 +8,7 @@ results faster, so both are provided and cross-checked in tests.
 :func:`apsp_bfs` runs all sources at once through
 :func:`repro.graph.traversal.bfs_distances_batch` (level-synchronous
 frontier-matrix expansion); the original one-Python-BFS-per-vertex loop
-is preserved as :func:`_reference_apsp_bfs` for the equivalence harness.
+is a test oracle in ``tests/oracles/graph.py``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.graph.traversal import bfs_distances_batch, _reference_bfs_distances
+from repro.graph.traversal import bfs_distances_batch
 
 __all__ = ["apsp_bfs", "apsp_floyd_warshall", "UNREACHABLE"]
 
@@ -46,12 +46,4 @@ def apsp_floyd_warshall(g: Graph) -> np.ndarray:
         via_k = dist[:, k : k + 1] + dist[k : k + 1, :]
         np.minimum(dist, via_k, out=dist)
     dist[dist >= inf // 2] = UNREACHABLE
-    return dist
-
-
-def _reference_apsp_bfs(g: Graph) -> np.ndarray:
-    """Original per-source Python-queue APSP (oracle for tests/equivalence)."""
-    dist = np.empty((g.n, g.n), dtype=np.int64)
-    for v in range(g.n):
-        dist[v] = _reference_bfs_distances(g, v)
     return dist

@@ -8,8 +8,8 @@ The public functions are vectorized: frontiers are numpy arrays expanded
 by ragged CSR gathers (:func:`bfs_layers`, :func:`bfs_distances`) or, for
 all sources at once, by level-synchronous adjacency-matrix products
 (:func:`bfs_distances_batch`).  The original queue-based implementations
-are preserved as ``_reference_*`` oracles; ``tests/equivalence`` asserts
-the vectorized paths match them bitwise.
+are test oracles in ``tests/oracles/graph.py``; ``tests/equivalence``
+asserts the vectorized paths match them bitwise.
 """
 
 from __future__ import annotations
@@ -153,40 +153,3 @@ def connected_components(g: Graph) -> list[list[int]]:
                     queue.append(int(u))
         comps.append(sorted(comp))
     return comps
-
-
-# ----------------------------------------------------------------------
-# Reference oracles (original queue-based implementations), kept for the
-# differential-equivalence harness in tests/equivalence.
-# ----------------------------------------------------------------------
-
-def _reference_bfs_layers(g: Graph, source: int) -> Iterator[list[int]]:
-    """Original per-vertex BFS layer generator (oracle)."""
-    if not 0 <= source < g.n:
-        raise ValueError(f"source {source} out of range for n={g.n}")
-    visited = np.zeros(g.n, dtype=bool)
-    visited[source] = True
-    frontier = [source]
-    while frontier:
-        yield frontier
-        nxt: list[int] = []
-        for v in frontier:
-            for u in g.neighbors(v):
-                if not visited[u]:
-                    visited[u] = True
-                    nxt.append(int(u))
-        frontier = sorted(nxt)
-
-
-def _reference_bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Original queue-based single-source distances (oracle)."""
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[source] = 0
-    queue: deque[int] = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                queue.append(int(u))
-    return dist

@@ -57,7 +57,7 @@ class ExplicitFeatureKernel(GraphKernel):
     def gram(self, graphs: list[Graph]) -> np.ndarray:
         """One GEMM over the stacked per-graph feature rows.
 
-        Bitwise-equal to the per-pair assembly of :meth:`_reference_gram`
+        Bitwise-equal to the per-pair assembly in ``tests/oracles/kernels.py``
         because every ``phi`` entry is an integer-valued substructure
         count: all products and partial sums stay below 2^53, where
         float64 arithmetic is exact under any association order, so BLAS
@@ -66,26 +66,10 @@ class ExplicitFeatureKernel(GraphKernel):
         """
         return self._assemble_gram(self.feature_map(graphs))
 
-    def _reference_gram(self, graphs: list[Graph]) -> np.ndarray:
-        """Per-pair gram assembly (oracle for tests/equivalence)."""
-        return self._reference_assemble_gram(self.feature_map(graphs))
-
     @staticmethod
     def _assemble_gram(phi: np.ndarray) -> np.ndarray:
         """The assembly step alone: one GEMM over stacked feature rows."""
         return phi @ phi.T
-
-    @staticmethod
-    def _reference_assemble_gram(phi: np.ndarray) -> np.ndarray:
-        """Original assembly: one Python-loop dot product per (i, j)
-        pair — the oracle the benchmark's ``gram_assembly`` stage times
-        the GEMM against (feature extraction, common to both, excluded)."""
-        n = phi.shape[0]
-        k = np.zeros((n, n), dtype=np.float64)
-        for i in range(n):
-            for j in range(i, n):
-                k[i, j] = k[j, i] = float(np.dot(phi[i], phi[j]))
-        return k
 
 
 def normalize_gram(k: np.ndarray, eps: float = 1e-12) -> np.ndarray:

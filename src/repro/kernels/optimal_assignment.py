@@ -10,18 +10,16 @@ The min (histogram-intersection) kernel is positive semidefinite, and
 because the colors form a hierarchy (iteration i+1 refines iteration i),
 this value equals the optimal vertex assignment score.
 
-Colors come from :func:`repro.features.wl_stable_colors`, whose stable
+Colors come from :func:`repro.features.wl_stable_colors_many`, whose stable
 hashes align identical subtree patterns across graphs with no shared
 dictionary.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
-from repro.features.vertex_maps import wl_stable_colors, wl_stable_colors_many
+from repro.features.vertex_maps import wl_stable_colors_many
 from repro.graph.graph import Graph
 from repro.kernels.base import GraphKernel
 
@@ -50,9 +48,6 @@ class WLOptimalAssignmentKernel(GraphKernel):
             raise ValueError(f"h must be >= 0, got {h}")
         self.h = h
 
-    def _histograms(self, g: Graph) -> list[Counter]:
-        return [Counter(colors) for colors in wl_stable_colors(g, self.h)]
-
     def gram(self, graphs: list[Graph]) -> np.ndarray:
         """Vectorized count-matrix assembly.
 
@@ -63,7 +58,7 @@ class WLOptimalAssignmentKernel(GraphKernel):
         row-sum broadcasts minus a pairwise L1 distance, computed in row
         chunks.  All arithmetic is exact (integer counts, halved even
         integers), so the result is *bitwise* equal to the per-pair
-        Counter assembly kept as :meth:`_reference_gram`.
+        Counter assembly in ``tests/oracles/kernels.py``.
         """
         n = len(graphs)
         k = np.zeros((n, n), dtype=np.float64)
@@ -90,22 +85,4 @@ class WLOptimalAssignmentKernel(GraphKernel):
                 hi = min(lo + chunk, n)
                 l1 = np.abs(counts[lo:hi, None, :] - counts[None, :, :]).sum(axis=2)
                 k[lo:hi] += 0.5 * (totals[lo:hi, None] + totals[None, :] - l1)
-        return k
-
-    def _reference_gram(self, graphs: list[Graph]) -> np.ndarray:
-        """Original per-pair Counter assembly (oracle for tests/equivalence)."""
-        histograms = [self._histograms(g) for g in graphs]
-        n = len(graphs)
-        k = np.zeros((n, n), dtype=np.float64)
-        for i in range(n):
-            for j in range(i, n):
-                total = 0.0
-                for hi, hj in zip(histograms[i], histograms[j]):
-                    small, large = (hi, hj) if len(hi) <= len(hj) else (hj, hi)
-                    total += sum(
-                        min(count, large[color])
-                        for color, count in small.items()
-                        if color in large
-                    )
-                k[i, j] = k[j, i] = total
         return k

@@ -87,11 +87,11 @@ class ReturnProbabilityKernel(GraphKernel):
         explicitly (``(B + B^T) / 2``) because blocked BLAS products are
         not exactly symmetric.
 
-        Values match :meth:`_reference_gram` to ulp precision only: BLAS
-        reassociates the GEMM and ``reduceat`` reassociates the sums, and
-        ``exp`` amplifies those last-bit differences.  The documented
-        bound (``tests/equivalence/test_gram_equiv.py``) is
-        ``rtol=1e-9``.
+        Values match the per-pair oracle in ``tests/oracles/kernels.py``
+        to ulp precision only: BLAS reassociates the GEMM and
+        ``reduceat`` reassociates the sums, and ``exp`` amplifies those
+        last-bit differences.  The documented bound
+        (``tests/equivalence/test_gram_equiv.py``) is ``rtol=1e-9``.
         """
         feats = [return_probability_features(g, self.steps) for g in graphs]
         gamma = self.gamma if self.gamma is not None else self._median_gamma(feats)
@@ -135,39 +135,6 @@ class ReturnProbabilityKernel(GraphKernel):
         block /= sizes[:, None] * sizes[None, :]
         k[np.ix_(nonempty, nonempty)] = 0.5 * (block + block.T)
         return k
-
-    def _reference_gram(self, graphs: list[Graph]) -> np.ndarray:
-        """Original per-pair assembly (oracle for tests/equivalence)."""
-        feats = [return_probability_features(g, self.steps) for g in graphs]
-        gamma = self.gamma if self.gamma is not None else self._median_gamma(feats)
-        n = len(graphs)
-        k = np.zeros((n, n), dtype=np.float64)
-        for i in range(n):
-            for j in range(i, n):
-                k[i, j] = k[j, i] = self._pair(
-                    graphs[i], feats[i], graphs[j], feats[j], gamma
-                )
-        return k
-
-    def _pair(
-        self,
-        g1: Graph,
-        f1: np.ndarray,
-        g2: Graph,
-        f2: np.ndarray,
-        gamma: float,
-    ) -> float:
-        if g1.n == 0 or g2.n == 0:
-            return 0.0
-        sq = (
-            (f1**2).sum(axis=1)[:, None]
-            + (f2**2).sum(axis=1)[None, :]
-            - 2.0 * f1 @ f2.T
-        )
-        rbf = np.exp(-gamma * np.maximum(sq, 0.0))
-        if self.use_labels:
-            rbf = rbf * (g1.labels[:, None] == g2.labels[None, :])
-        return float(rbf.sum() / (g1.n * g2.n))
 
     @staticmethod
     def _median_gamma(feats: list[np.ndarray]) -> float:

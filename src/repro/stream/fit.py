@@ -6,9 +6,10 @@ ever materializing the full graph list or the full ``(n, w*r, m)``
 tensor.  It mirrors ``DeepMapClassifier.fit`` stage for stage:
 
 1. **Vocabulary pass** — shards are regenerated from seeds and their
-   vertex feature counts extracted; the substructure totals, the
-   ``max_features`` truncation and the frozen vocabulary come out
-   identical to the materialized path because the extractors are
+   vertex feature counts fed, shard by shard, to the same
+   ``FeatureVocabulary.from_counts`` the materialized fit calls; the
+   substructure totals, the ``max_features`` truncation and the frozen
+   vocabulary come out identical because the extractors are
    batch-independent, integer totals are order-exact, and
    ``FeatureVocabulary.freeze`` sorts keys (insertion order never
    matters).  The same pass tracks ``max(g.n)`` for the encoder width.
@@ -91,31 +92,24 @@ def fit_stream(
             targets = np.array([class_index[int(v)] for v in y])
 
             # Pass 1: streamed vocabulary + encoder width.
-            totals: dict = {}
             max_nodes = 0
+
+            def shard_counts():
+                nonlocal max_nodes
+                for shard in stream.iter_shards(shard_size):
+                    max_nodes = max(max_nodes, max(g.n for g in shard.graphs))
+                    yield from cached_vertex_counts(
+                        model.extractor, shard.graphs, cache=cache
+                    )
+
             with obs.span(
                 "stream_vocab_fit",
                 extractor=model.extractor.name,
                 shards=stream.num_shards(shard_size),
             ):
-                for shard in stream.iter_shards(shard_size):
-                    counts = cached_vertex_counts(
-                        model.extractor, shard.graphs, cache=cache
-                    )
-                    max_nodes = max(max_nodes, max(g.n for g in shard.graphs))
-                    for vertex_counts in counts:
-                        for counter in vertex_counts:
-                            for key, value in counter.items():
-                                totals[key] = totals.get(key, 0) + value
-            keys = totals.keys()
-            if model.max_features is not None and len(totals) > model.max_features:
-                # Same most-frequent truncation (and tie-break) as the
-                # materialized ``_feature_matrices_inner``.
-                keys = sorted(totals, key=lambda k: (-totals[k], repr(k)))
-                keys = keys[: model.max_features]
-            vocab = FeatureVocabulary()
-            vocab.add_all(keys)
-            model.vocabulary_ = vocab.freeze()
+                model.vocabulary_ = FeatureVocabulary.from_counts(
+                    shard_counts(), model.max_features
+                )
             model.encoder_ = DeepMapEncoder(
                 r=model.r, ordering=model.ordering
             ).fit_width([max_nodes])

@@ -99,6 +99,18 @@ class TestMaxFeatures:
         model.fit(graphs, y)
         assert model.predict(graphs).shape == (len(graphs),)
 
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_rejects_non_positive_cap(self, small_dataset, bad):
+        # -1 used to drop the least frequent substructure silently, and 0
+        # failed later inside the CNN builder.
+        with pytest.raises(ValueError, match="max_features"):
+            DeepMapClassifier("wl", max_features=bad)
+        graphs, y = small_dataset
+        model = DeepMapClassifier("wl", r=2, epochs=1, seed=0)
+        model.max_features = bad
+        with pytest.raises(ValueError, match="max_features"):
+            model.fit(graphs, y)
+
 
 class TestErrors:
     def test_unfitted_predict(self, small_dataset):

@@ -14,13 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.conv1d import (
-    Conv1D,
-    _reference_conv1d_backward,
-    _reference_conv1d_forward,
-)
+from repro.nn.conv1d import Conv1D
 
 from tests.equivalence.conftest import assert_bitwise_equal
+from tests.oracles.nn import _reference_conv1d_backward, _reference_conv1d_forward
 
 #: (kernel_size, stride) covering the tiling, gapped, and overlapping regimes.
 REGIMES = [(5, 5), (1, 1), (3, 5), (4, 2), (2, 3), (3, 1)]

@@ -1,7 +1,7 @@
 """One-pass gram assembly vs the preserved per-pair oracles.
 
-Every kernel whose gram matrix was vectorized in the hot-path PR keeps
-its original per-pair assembly as an in-module ``_reference_gram``; this
+Every kernel whose gram matrix was vectorized keeps its original
+per-pair assembly as an oracle in ``tests/oracles/kernels.py``; this
 suite pins the equality contract of each:
 
 * **bitwise** for the explicit-feature kernels (GK, SP, WL) — all
@@ -37,6 +37,11 @@ from repro.kernels.optimal_assignment import WLOptimalAssignmentKernel
 from repro.kernels.retgk import ReturnProbabilityKernel
 
 from tests.equivalence.conftest import assert_bitwise_equal, graph_batches
+from tests.oracles.kernels import (
+    _reference_explicit_gram,
+    _reference_retgk_gram,
+    _reference_wloa_gram,
+)
 
 #: Pinned-dataset gram matrices captured BEFORE the WL radix remap.
 #: Both depend only on the WL color partition, never the color values.
@@ -65,7 +70,9 @@ class TestExplicitKernels:
     def test_gemm_bitwise_equals_per_pair(self, graphs, ext_idx):
         kernel = ExplicitFeatureKernel(_extractors()[ext_idx])
         assert_bitwise_equal(
-            kernel.gram(graphs), kernel._reference_gram(graphs), kernel.name
+            kernel.gram(graphs),
+            _reference_explicit_gram(kernel, graphs),
+            kernel.name,
         )
 
     def test_gram_entries_are_integral_counts(self):
@@ -92,13 +99,15 @@ class TestWLOptimalAssignment:
     def test_count_matrix_bitwise_equals_counter_oracle(self, graphs, h):
         kernel = WLOptimalAssignmentKernel(h=h)
         assert_bitwise_equal(
-            kernel.gram(graphs), kernel._reference_gram(graphs), "wl-oa"
+            kernel.gram(graphs), _reference_wloa_gram(kernel, graphs), "wl-oa"
         )
 
     def test_empty_and_single_vertex_graphs(self):
         graphs = [Graph(0, [], []), Graph(1, [], [5]), *_pinned_dataset()]
         kernel = WLOptimalAssignmentKernel(h=2)
-        assert_bitwise_equal(kernel.gram(graphs), kernel._reference_gram(graphs))
+        assert_bitwise_equal(
+            kernel.gram(graphs), _reference_wloa_gram(kernel, graphs)
+        )
 
     def test_gram_unchanged_by_color_remap(self):
         got = WLOptimalAssignmentKernel(h=2).gram(_pinned_dataset())
@@ -118,7 +127,7 @@ class TestRetGK:
     def test_stacked_gemm_within_ulp_bound(self, graphs, use_labels, gamma):
         kernel = ReturnProbabilityKernel(steps=4, gamma=gamma, use_labels=use_labels)
         got = kernel.gram(graphs)
-        ref = kernel._reference_gram(graphs)
+        ref = _reference_retgk_gram(kernel, graphs)
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
 
     def test_exactly_symmetric(self):
@@ -128,7 +137,7 @@ class TestRetGK:
     def test_empty_graph_rows_are_zero(self):
         graphs = [Graph(0, [], []), *_pinned_dataset()]
         got = ReturnProbabilityKernel(steps=4).gram(graphs)
-        ref = ReturnProbabilityKernel(steps=4)._reference_gram(graphs)
+        ref = _reference_retgk_gram(ReturnProbabilityKernel(steps=4), graphs)
         assert np.all(got[0] == 0.0) and np.all(got[:, 0] == 0.0)
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
 

@@ -28,12 +28,7 @@ from repro.core.alignment import (
     union_vertex_order,
     vertex_sequence,
 )
-from repro.core.pipeline import (
-    DeepMapEncoder,
-    _assemble,
-    _reference_assemble,
-    _reference_encode_stages,
-)
+from repro.core.pipeline import DeepMapEncoder
 from repro.core.receptive_field import (
     all_receptive_fields,
     all_receptive_fields_many,
@@ -43,6 +38,11 @@ from repro.features.vertex_maps import ShortestPathVertexFeatures
 from repro.graph import Graph
 
 from tests.equivalence.conftest import assert_bitwise_equal, graph_batches
+from tests.oracles.core import (
+    _assemble,
+    _reference_assemble,
+    _reference_encode_stages,
+)
 
 #: Encoder output digests for `_pinned_dataset()` with SP features and
 #: r=3, captured before the fused-encode PR.  SP features are untouched

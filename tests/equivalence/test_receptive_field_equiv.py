@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from repro.core.alignment import centrality_scores
 from repro.core.receptive_field import (
     DUMMY,
-    _reference_all_receptive_fields,
     all_receptive_fields,
     receptive_field,
 )
 from repro.graph import Graph
 
 from tests.conftest import random_graphs
+from tests.oracles.core import _reference_all_receptive_fields
 from tests.equivalence.conftest import (
     assert_bitwise_equal,
     disconnected_graphs,

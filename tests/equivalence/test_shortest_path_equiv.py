@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.features import ShortestPathVertexFeatures
-from repro.features.vertex_maps import _reference_sp_vertex_counts
 from repro.graph import Graph, apsp_floyd_warshall
-from repro.graph.shortest_paths import _reference_apsp_bfs, apsp_bfs
+from repro.graph.shortest_paths import apsp_bfs
 
 from tests.conftest import random_graphs
+from tests.oracles.features import _reference_sp_vertex_counts
+from tests.oracles.graph import _reference_apsp_bfs
 from tests.equivalence.conftest import (
     assert_bitwise_equal,
     disconnected_graphs,

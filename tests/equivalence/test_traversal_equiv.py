@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from repro.graph import Graph, path_graph, star_graph
 from repro.graph.traversal import (
-    _reference_bfs_distances,
-    _reference_bfs_layers,
     bfs_distances,
     bfs_distances_batch,
     bfs_layers,
@@ -18,6 +16,7 @@ from repro.graph.traversal import (
 )
 
 from tests.conftest import random_graphs
+from tests.oracles.graph import _reference_bfs_distances, _reference_bfs_layers
 from tests.equivalence.conftest import (
     assert_bitwise_equal,
     disconnected_graphs,

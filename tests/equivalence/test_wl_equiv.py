@@ -27,11 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.features import WLVertexFeatures
-from repro.features.vertex_maps import (
-    _reference_wl_stable_colors,
-    wl_stable_colors,
-    wl_stable_colors_many,
-)
+from repro.features.vertex_maps import wl_stable_colors, wl_stable_colors_many
 from repro.graph import Graph
 
 from tests.conftest import random_graphs
@@ -40,6 +36,7 @@ from tests.equivalence.conftest import (
     graph_batches,
     shuffled_edge_graphs,
 )
+from tests.oracles.features import _reference_wl_stable_colors
 
 
 def _same_partition(a: list, b: list) -> bool:

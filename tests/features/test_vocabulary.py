@@ -88,3 +88,24 @@ class TestVectorize:
         v.freeze()
         vec = v.vectorize({("wl", 0, 5): 4})
         assert vec.sum() == 4
+
+
+class TestFromCounts:
+    COUNTS = [
+        [{"a": 2, "b": 1}, {"c": 1}],
+        [{"a": 1, "d": 1}],
+    ]
+
+    def test_keeps_every_key_of_a_one_pass_iterable(self):
+        v = FeatureVocabulary.from_counts(iter(self.COUNTS))
+        assert v.keys() == ["a", "b", "c", "d"]
+
+    def test_max_features_keeps_most_frequent_with_repr_tie_break(self):
+        # totals: a=3, b=c=d=1; the tie among b/c/d goes to repr order.
+        v = FeatureVocabulary.from_counts(self.COUNTS, max_features=2)
+        assert v.keys() == ["a", "b"]
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_rejects_non_positive_cap(self, bad):
+        with pytest.raises(ValueError, match="max_features"):
+            FeatureVocabulary.from_counts(self.COUNTS, max_features=bad)

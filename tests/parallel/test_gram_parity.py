@@ -17,6 +17,8 @@ from repro.kernels.base import ExplicitFeatureKernel
 from repro.kernels.optimal_assignment import WLOptimalAssignmentKernel
 from repro.parallel import parallelism_available
 
+from tests.oracles.kernels import _reference_explicit_gram
+
 pytestmark = pytest.mark.skipif(
     not parallelism_available(), reason="fork pool unavailable on this platform"
 )
@@ -55,7 +57,7 @@ class TestKernelCVParity:
             name = kernel.name
 
             def gram(self, graphs):
-                return kernel._reference_gram(graphs)
+                return _reference_explicit_gram(kernel, graphs)
 
         fast = evaluate_kernel_svm(kernel, cv_dataset, n_splits=4, seed=3)
         slow = evaluate_kernel_svm(OracleShim(), cv_dataset, n_splits=4, seed=3)

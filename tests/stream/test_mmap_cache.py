@@ -41,16 +41,6 @@ def test_disk_read_memory_maps_and_matches_bitwise(tmp_path, payload):
         assert arr.tobytes() == want.tobytes()
 
 
-def test_mmap_read_can_be_disabled(tmp_path, payload):
-    key, _ = write_entry(tmp_path, payload)
-    reader = FeatureMapCache(cache_dir=tmp_path, mmap_read=False)
-    got = reader.get(key, namespace="enc")
-    assert got is not None
-    assert reader.stats.mmap_hits == 0
-    assert reader.stats.disk_hits == 1
-    assert not any(isinstance(a, np.memmap) for a in got.values())
-
-
 def test_object_dtype_payload_falls_back_to_copying_read(tmp_path):
     keys = np.empty(2, dtype=object)
     keys[0], keys[1] = ("a", 1), ("b", 2)

@@ -69,6 +69,30 @@ def test_torn_enc_spill_is_reencoded_and_fit_is_bitwise_identical(
     assert obs.counter("stream_shard_reencodes_total").value >= 1
 
 
+def test_truncated_vocabulary_matches_fit_bitwise():
+    # Both fits build the vocabulary with FeatureVocabulary.from_counts;
+    # the streamed one feeds it shard by shard.
+    ds = make_dataset("MUTAG", scale=SCALE, seed=0)
+    materialized = fresh_model(max_features=16).fit(ds.graphs, ds.y)
+    stream = make_dataset("MUTAG", scale=SCALE, seed=0, stream=True)
+    streamed = fresh_model(max_features=16)
+    streamed.fit_stream(stream, shard_size=4)
+    assert streamed.vocabulary_.size == 16
+    assert streamed.vocabulary_.keys() == materialized.vocabulary_.keys()
+    assert model_fingerprint(streamed) == model_fingerprint(materialized)
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_fit_stream_rejects_non_positive_max_features(bad):
+    with pytest.raises(ValueError, match="max_features"):
+        fresh_model(max_features=bad)
+    stream = make_dataset("MUTAG", scale=SCALE, seed=0, stream=True)
+    model = fresh_model()
+    model.max_features = bad
+    with pytest.raises(ValueError, match="max_features"):
+        model.fit_stream(stream, shard_size=4)
+
+
 def test_failing_shard_raises_out_of_fit_stream():
     # No background worker absorbs the error: like the materialized
     # ``fit``, a shard that raises fails the call.

@@ -1,7 +1,9 @@
 """The public API surface: everything advertised in __all__ must resolve
 and the paper's example flows must be expressible through `repro.*`."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,3 +62,28 @@ def test_docstrings_on_public_entry_points():
             obj = getattr(mod, name)
             if callable(obj):
                 assert obj.__doc__, f"{mod.__name__}.{name} lacks a docstring"
+
+
+def test_no_reference_oracles_in_src():
+    """Oracles are test code: they live in ``tests/oracles``, and no module
+    or class under ``repro`` defines a ``_reference*`` name."""
+    import repro
+
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(root)}:{node.lineno} {name}"
+                for name in names
+                if name.startswith("_reference")
+            ]
+    assert not offenders, offenders
