@@ -51,8 +51,9 @@ import numpy as np
 
 from benchmarks._common import print_header, print_table
 from repro.core.alignment import centrality_scores, union_vertex_order
-from repro.core.pipeline import _assemble_fused
+from repro.core.pipeline import _assemble_fused, _slot_table
 from repro.core.receptive_field import (
+    DUMMY,
     all_receptive_fields,
     all_receptive_fields_many,
 )
@@ -339,9 +340,10 @@ def test_fused_encode():
         # The body of DeepMapEncoder.encode, minus cache/obs wrapping.
         scores = [centrality_scores(g, "eigenvector") for g in graphs]
         union = union_vertex_order(graphs, scores)
-        sequences = [union.sequence(gi)[:w] for gi in range(len(graphs))]
+        slots = _slot_table(union, w)
         fields = all_receptive_fields_many(graphs, r, scores, union=union)
-        return _assemble_fused(matrices, sequences, fields, union, w, r, m)
+        tensors = _assemble_fused(matrices, slots, fields, union, r, m)
+        return tensors, (slots != DUMMY).astype(np.float64)
 
     def reference():
         return _reference_encode_stages(graphs, matrices, w, r, m)

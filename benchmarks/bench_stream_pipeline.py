@@ -32,7 +32,7 @@ floors declared under ``config.acceptance.floors``.
 assertions — wiring checks only, for the `stream` test tier.
 
 Run with ``pytest benchmarks/bench_stream_pipeline.py -q`` or
-``python benchmarks/bench_stream_pipeline.py``.
+``python -m benchmarks.bench_stream_pipeline`` from the repo root.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ The paper's evaluation grid (Tables 1-5: 15 datasets x 3 feature maps x
 10-fold CV) recomputes every vertex feature map and every ``(w*r, m)``
 input tensor from scratch on each invocation, and that preprocessing —
 not the CNN — dominates wall clock at benchmark scale.  This module
-memoizes those artifacts across calls *and* across processes:
+memoizes those artifacts across calls *and* across processes, in two
+namespaces: ``counts`` (per-vertex substructure counts, from which the
+vocabulary and the dense matrices are rebuilt) and ``enc`` (the encoded
+tensor plus its slot -> vertex table):
 
 * :func:`stable_hash` canonically encodes nested Python/numpy/graph
   values so equal *content* always produces the same digest — dict
@@ -14,8 +17,12 @@ memoizes those artifacts across calls *and* across processes:
   changing ``k``, ``h``, ``max_distance``, ``seed``, ``r`` … changes the
   key: entries are invalidated by construction, never by TTL.
 * :class:`FeatureMapCache` stores ``{name: ndarray}`` payloads in an
-  in-memory LRU tier backed by an optional on-disk ``.npz`` tier laid
-  out as ``<cache_dir>/<key[:2]>/<key>.npz`` (atomic writes).  A
+  optional on-disk ``.npz`` tier laid out as
+  ``<cache_dir>/<key[:2]>/<key>.npz`` (atomic writes) fronted by an
+  in-memory LRU tier.  A put is held in memory only when it is not on
+  disk, so writing never pins what the disk already holds; a disk hit is
+  promoted into the memory tier (as memory-mapped views where the
+  members allow).  A
   corrupted or unreadable file is treated as a miss — the entry is
   dropped and the caller recomputes; the cache never raises into the
   pipeline.
@@ -158,7 +165,7 @@ def extractor_fingerprint(extractor) -> str:
     ``WLVertexFeatures`` uses this for its color-scheme generation — the
     integer radix remap produces partition-equivalent but numerically
     different colors than the original blake2b hashing, and a stale
-    ``counts``/``vfm`` hit would mix old and new color keys across
+    ``counts`` hit would mix old and new color keys across
     train/predict extract calls.
     """
     if hasattr(extractor, "cache_params"):
@@ -177,7 +184,7 @@ def extractor_fingerprint(extractor) -> str:
 
 
 def cache_key(namespace: str, *parts) -> str:
-    """Compose a namespaced content-addressed key ("counts", "vfm", "enc")."""
+    """Compose a namespaced content-addressed key ("counts", "enc")."""
     return stable_hash([namespace, list(parts)])
 
 
@@ -396,11 +403,10 @@ class FeatureMapCache:
                 payload = None  # a dead peer is a miss, never an error
                 self.stats.errors += 1
             if payload is not None:
-                # Pay the network cost once: land the payload in both
-                # local tiers (disk write best-effort, like any put).
-                self._memory_store(key, payload)
-                if self.cache_dir is not None:
-                    self._write_disk(key, payload)
+                # Pay the network cost once: land the payload locally,
+                # held in memory only when it is not on disk (as in put).
+                if self.cache_dir is None or not self._write_disk(key, payload):
+                    self._memory_store(key, payload)
                 self.stats.hits += 1
                 self.stats.remote_hits += 1
                 self.stats.by_namespace[f"{namespace or 'any'}_hits"] += 1
@@ -444,9 +450,16 @@ class FeatureMapCache:
 
     # -- write ----------------------------------------------------------
     def put(self, key: str, payload: dict[str, np.ndarray], namespace: str = "") -> None:
-        """Store ``payload`` under ``key`` in both tiers (best effort)."""
-        self._memory_store(key, payload)
-        if self.cache_dir is not None:
+        """Store ``payload`` under ``key`` (best effort).
+
+        With a disk tier the payload goes to disk only: a later
+        :meth:`get` maps it back as a read-only view instead of the
+        memory tier pinning the caller's arrays.  The memory tier keeps
+        it when there is no disk tier or the disk write failed.
+        """
+        if self.cache_dir is None:
+            self._memory_store(key, payload)
+        else:
             # Fault-injection point: InjectedFault is a BaseException, so
             # the best-effort ``except Exception`` inside _write_disk
             # cannot swallow a deliberately injected crash
@@ -454,7 +467,10 @@ class FeatureMapCache:
             # file post-rename instead.
             mode = faults.check("cache_write", self._next_write_index())
             if not self._write_disk(key, payload, corrupt=mode == "corrupt"):
+                self._memory_store(key, payload)
                 return
+            with self._lock:
+                self._memory.pop(key, None)  # never serve a replaced payload
         self.stats.stores += 1
         self.stats.by_namespace[f"{namespace or 'any'}_stores"] += 1
 

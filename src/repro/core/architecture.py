@@ -19,17 +19,42 @@ from repro.nn.activations import ReLU
 from repro.nn.conv1d import Conv1D
 from repro.nn.dense import Dense
 from repro.nn.dropout import Dropout
-from repro.nn.module import Sequential
+from repro.nn.module import Layer, Sequential
 from repro.nn.pooling import Flatten, SumPool1D
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_positive
 
-__all__ = ["build_deepmap_cnn", "DEFAULT_CHANNELS", "DEFAULT_DENSE_UNITS"]
+__all__ = ["build_deepmap_cnn", "conv_stack", "DEFAULT_CHANNELS", "DEFAULT_DENSE_UNITS"]
 
 #: Output channels of the three convolution layers (paper: 32, 16, 8).
 DEFAULT_CHANNELS = (32, 16, 8)
 #: Width of the dense layer (paper: 128).
 DEFAULT_DENSE_UNITS = 128
+
+
+def conv_stack(
+    m: int,
+    r: int,
+    channels: tuple[int, int, int] = DEFAULT_CHANNELS,
+    rng: np.random.Generator | int | None = 0,
+) -> list[Layer]:
+    """The three bias-free convolutions + ReLUs: ``(B, w*r, m)`` ->
+    ``(B, w, channels[-1])``, one output position per sequence slot.
+
+    Weights are drawn from ``rng`` in layer order, so a network that
+    builds this stack first gets the same initial weights for the same
+    seed.
+    """
+    rng = as_rng(rng)
+    c1, c2, c3 = channels
+    return [
+        Conv1D(m, c1, kernel_size=r, stride=r, use_bias=False, rng=rng),
+        ReLU(),
+        Conv1D(c1, c2, kernel_size=1, use_bias=False, rng=rng),
+        ReLU(),
+        Conv1D(c2, c3, kernel_size=1, use_bias=False, rng=rng),
+        ReLU(),
+    ]
 
 
 def build_deepmap_cnn(
@@ -69,15 +94,8 @@ def build_deepmap_cnn(
     check_positive("r", r)
     check_positive("num_classes", num_classes)
     rng = as_rng(rng)
-    c1, c2, c3 = channels
-    layers = [
-        Conv1D(m, c1, kernel_size=r, stride=r, use_bias=False, rng=rng),
-        ReLU(),
-        Conv1D(c1, c2, kernel_size=1, use_bias=False, rng=rng),
-        ReLU(),
-        Conv1D(c2, c3, kernel_size=1, use_bias=False, rng=rng),
-        ReLU(),
-    ]
+    layers = conv_stack(m, r, channels, rng)
+    c3 = channels[-1]
     if readout == "sum":
         layers.append(SumPool1D())
         readout_dim = c3

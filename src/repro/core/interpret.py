@@ -72,20 +72,18 @@ def occlusion_scores(
     """
     check_fitted(model, "network_")
     assert model.network_ is not None
-    from repro.core.alignment import centrality_scores, vertex_sequence
+    from repro.core.receptive_field import DUMMY
     from repro.nn.model import predict_logits
 
     encoded = model.encode([graph], fit=False)
     base_logits = predict_logits(model.network_, encoded.tensors)[0]
     cls = int(np.argmax(base_logits)) if target_class is None else int(target_class)
 
-    scores = centrality_scores(graph, model.ordering)
-    sequence = vertex_sequence(graph, scores, model.ordering)[: encoded.w]
     r = encoded.r
-    out = np.zeros(graph.n, dtype=np.float64)
-    for slot, v in enumerate(sequence):
+    drops = np.zeros((1, encoded.w), dtype=np.float64)
+    for slot in np.flatnonzero(encoded.slots[0] != DUMMY):
         occluded = encoded.tensors.copy()
         occluded[0, slot * r : (slot + 1) * r, :] = 0.0
         logits = predict_logits(model.network_, occluded)[0]
-        out[int(v)] = base_logits[cls] - logits[cls]
-    return out
+        drops[0, slot] = base_logits[cls] - logits[cls]
+    return encoded.to_vertices(drops, [graph])[0]

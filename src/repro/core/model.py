@@ -12,7 +12,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.architecture import build_deepmap_cnn
-from repro.core.pipeline import DeepMapEncoder
+from repro.core.pipeline import DeepMapEncoder, EncodedDataset
 from repro.features.vertex_maps import (
     GraphletVertexFeatures,
     ShortestPathVertexFeatures,
@@ -128,10 +128,11 @@ class DeepMapClassifier:
 
     def encode(self, graphs: list[Graph], fit: bool = False):
         """Vertex feature maps -> Algorithm 1 tensors for ``graphs``."""
+        if not fit:
+            check_fitted(self, "encoder_")
         matrices = self._feature_matrices(graphs, fit_vocabulary=fit)
         if fit:
             self.encoder_ = DeepMapEncoder(r=self.r, ordering=self.ordering).fit(graphs)
-        check_fitted(self, "encoder_")
         assert self.encoder_ is not None
         return self.encoder_.encode(graphs, matrices, cache=self.cache)
 
@@ -281,7 +282,7 @@ class DeepMapClassifier:
         The dense low-dimensional representation the paper's title refers
         to — usable as a graph embedding for downstream tasks.
         """
-        return self._conv_activations(graphs).sum(axis=1)
+        return self._conv_activations(self.encode(graphs)).sum(axis=1)
 
     def transform_vertices(self, graphs: list[Graph]) -> list[np.ndarray]:
         """Deep *vertex* feature maps (paper, Section 7: "the learned deep
@@ -292,25 +293,13 @@ class DeepMapClassifier:
         convolution layer's activation at each vertex's sequence slot,
         re-indexed so row ``v`` is vertex ``v`` of the input graph.
         """
-        from repro.core.alignment import centrality_scores, vertex_sequence
+        encoded = self.encode(graphs)
+        return encoded.to_vertices(self._conv_activations(encoded), graphs)
 
-        activations = self._conv_activations(graphs)  # (B, w, c)
-        out: list[np.ndarray] = []
-        for gi, g in enumerate(graphs):
-            scores = centrality_scores(g, self.ordering)
-            sequence = vertex_sequence(g, scores, self.ordering)
-            w = activations.shape[1]
-            emb = np.zeros((g.n, activations.shape[2]), dtype=np.float64)
-            for slot, v in enumerate(sequence[:w]):
-                emb[int(v)] = activations[gi, slot]
-            out.append(emb)
-        return out
-
-    def _conv_activations(self, graphs: list[Graph]) -> np.ndarray:
+    def _conv_activations(self, encoded: EncodedDataset) -> np.ndarray:
         """Activations after the last conv/ReLU, shape ``(B, w, c)``."""
         check_fitted(self, "network_")
         assert self.network_ is not None
-        encoded = self.encode(graphs, fit=False)
         x = encoded.tensors
         from repro.nn.pooling import Flatten, SumPool1D
 

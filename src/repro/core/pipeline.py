@@ -45,17 +45,41 @@ class EncodedDataset:
     ----------
     tensors:
         ``(n_graphs, w * r, m)`` input array.
-    vertex_mask:
-        ``(n_graphs, w)`` 1.0 where the sequence slot holds a real vertex.
+    slots:
+        ``(n_graphs, w)`` int64 slot -> vertex table: the local vertex id
+        each sequence slot holds (centrality order), ``DUMMY`` (-1) for
+        padding.  Every consumer that maps slot outputs back to vertices
+        reads this table instead of re-ordering the graph.
     w, r, m:
         Sequence length, receptive-field size, feature dimension.
     """
 
     tensors: np.ndarray
-    vertex_mask: np.ndarray
+    slots: np.ndarray
     w: int
     r: int
     m: int
+
+    @property
+    def vertex_mask(self) -> np.ndarray:
+        """``(n_graphs, w)`` 1.0 where the sequence slot holds a real vertex."""
+        return (self.slots != DUMMY).astype(np.float64)
+
+    def to_vertices(self, values: np.ndarray, graphs: list[Graph]) -> list[np.ndarray]:
+        """Re-index per-slot ``values[gi, slot, ...]`` to per-vertex arrays.
+
+        Returns one ``(graphs[gi].n, ...)`` array per graph whose row
+        ``v`` is the value at vertex ``v``'s slot; vertices beyond ``w``
+        (held-out graphs larger than every training graph) stay zero.
+        """
+        out: list[np.ndarray] = []
+        for gi, g in enumerate(graphs):
+            row = self.slots[gi]
+            real = row != DUMMY
+            per_vertex = np.zeros((g.n,) + values.shape[2:], dtype=values.dtype)
+            per_vertex[row[real]] = values[gi, real]
+            out.append(per_vertex)
+        return out
 
 
 class DeepMapEncoder:
@@ -167,13 +191,11 @@ class DeepMapEncoder:
         if cache is not None:
             key = self.encode_key(graphs, feature_matrices)
             payload = cache.get(key, namespace="enc")
-            if payload is not None:
+            # A payload without "slots" predates the slot table: recompute
+            # and overwrite it under the same key.
+            if payload is not None and "slots" in payload:
                 return EncodedDataset(
-                    tensors=payload["tensors"],
-                    vertex_mask=payload["vertex_mask"],
-                    w=w,
-                    r=r,
-                    m=m,
+                    tensors=payload["tensors"], slots=payload["slots"], w=w, r=r, m=m
                 )
         with obs.span("encode", graphs=n, w=w, r=r, m=m):
             # Stage 1: centrality-based vertex alignment (Section 4.2).
@@ -182,7 +204,7 @@ class DeepMapEncoder:
             with obs.span("alignment", ordering=self.ordering):
                 all_scores = [centrality_scores(g, self.ordering) for g in graphs]
                 union = union_vertex_order(graphs, all_scores)
-                sequences = [union.sequence(gi)[:w] for gi in range(n)]
+                slots = _slot_table(union, w)
             # Stage 2: BFS receptive fields around every vertex.
             with obs.span("receptive_field", r=r):
                 all_fields = all_receptive_fields_many(
@@ -190,28 +212,31 @@ class DeepMapEncoder:
                 )
             # Stage 3: assemble the (n, w*r, m) CNN input tensor.
             with obs.span("assemble"):
-                tensors, vertex_mask = _assemble_fused(
-                    feature_matrices, sequences, all_fields, union, w, r, m
-                )
+                tensors = _assemble_fused(feature_matrices, slots, all_fields, union, r, m)
             obs.counter("graphs_encoded_total").inc(n)
         if cache is not None and key is not None:
-            cache.put(
-                key,
-                {"tensors": tensors, "vertex_mask": vertex_mask},
-                namespace="enc",
-            )
-        return EncodedDataset(tensors=tensors, vertex_mask=vertex_mask, w=w, r=r, m=m)
+            cache.put(key, {"tensors": tensors, "slots": slots}, namespace="enc")
+        return EncodedDataset(tensors=tensors, slots=slots, w=w, r=r, m=m)
+
+
+def _slot_table(union: UnionOrder, w: int) -> np.ndarray:
+    """``(n, w)`` slot -> local vertex table: each graph's sequence cut
+    to ``w`` and padded with ``DUMMY``."""
+    slots = np.full((union.sizes.size, w), DUMMY, dtype=np.int64)
+    for gi in range(union.sizes.size):
+        sequence = union.sequence(gi)[:w]
+        slots[gi, : sequence.size] = sequence
+    return slots
 
 
 def _assemble_fused(
     feature_matrices: list[np.ndarray],
-    sequences: list[np.ndarray],
+    slots: np.ndarray,
     all_fields: list[np.ndarray],
     union: UnionOrder,
-    w: int,
     r: int,
     m: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Fused tensor assembly: flat index computation, streaming placement.
 
     The (slot, field-position) → source-row mapping for *every* graph is
@@ -227,27 +252,25 @@ def _assemble_fused(
     ``tests/oracles/core.py``: feature rows are copied, never
     recomputed, and dummy cells are exactly zero.
     """
-    n = len(feature_matrices)
+    n, w = slots.shape
     tensors = np.zeros((n, w * r, m), dtype=np.float64)
-    slots = np.asarray([len(seq) for seq in sequences], dtype=np.int64)
-    vertex_mask = (np.arange(w)[None, :] < slots[:, None]).astype(np.float64)
-    total_slots = int(slots.sum())
-    if total_slots == 0:
-        return tensors, vertex_mask
+    real_slot = slots != DUMMY  # real slots are a prefix of each row
+    per_graph = real_slot.sum(axis=1)
+    if not real_slot.any():
+        return tensors
     fields_stack = np.concatenate(all_fields, axis=0)  # (total_vertices, r)
-    g_of_slot = np.repeat(np.arange(n), slots)
-    vstart = union.starts[g_of_slot]
-    sel = fields_stack[vstart + np.concatenate(sequences)]  # (total_slots, r)
+    g_of_slot = np.repeat(np.arange(n), per_graph)
+    sel = fields_stack[union.starts[g_of_slot] + slots[real_slot]]  # (total_slots, r)
     real = sel != DUMMY
     src_local = np.where(real, sel, 0)
     dummy = ~real
     offs = 0
     for gi, feats in enumerate(feature_matrices):
-        k = int(slots[gi])
+        k = int(per_graph[gi])
         if k == 0:
             continue
         block = feats[src_local[offs : offs + k]]  # (k, r, m)
         block[dummy[offs : offs + k]] = 0.0
         tensors[gi, : k * r] = block.reshape(k * r, m)
         offs += k
-    return tensors, vertex_mask
+    return tensors

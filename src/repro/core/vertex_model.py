@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pipeline import DeepMapEncoder
-from repro.core.alignment import centrality_scores, vertex_sequence
+from repro.core.architecture import DEFAULT_CHANNELS, conv_stack
+from repro.core.pipeline import DeepMapEncoder, EncodedDataset
+from repro.core.receptive_field import DUMMY
 from repro.features.vertex_maps import (
     VertexFeatureExtractor,
     WLVertexFeatures,
@@ -22,59 +23,16 @@ from repro.features.vertex_maps import (
 from repro.features.vocabulary import FeatureVocabulary
 from repro.graph.graph import Graph
 from repro.nn.activations import ReLU
-from repro.nn.conv1d import Conv1D
 from repro.nn.dense import Dense
 from repro.nn.dropout import Dropout
 from repro.nn.losses import SoftmaxCrossEntropy, softmax
-from repro.nn.module import Network, Parameter
+from repro.nn.module import Sequential
 from repro.nn.optimizers import RMSprop
 from repro.nn.schedulers import ReduceLROnPlateau
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_fitted, check_positive
 
 __all__ = ["DeepMapVertexClassifier"]
-
-
-class _VertexNetwork(Network):
-    """Conv stack + position-wise classification head: (B, w*r, m) ->
-    (B, w, classes)."""
-
-    def __init__(
-        self,
-        m: int,
-        r: int,
-        num_classes: int,
-        channels: tuple[int, int, int] = (32, 16, 8),
-        dense_units: int = 64,
-        dropout: float = 0.5,
-        rng: np.random.Generator | int | None = 0,
-    ) -> None:
-        rng = as_rng(rng)
-        c1, c2, c3 = channels
-        self.layers = [
-            Conv1D(m, c1, kernel_size=r, stride=r, use_bias=False, rng=rng),
-            ReLU(),
-            Conv1D(c1, c2, kernel_size=1, use_bias=False, rng=rng),
-            ReLU(),
-            Conv1D(c2, c3, kernel_size=1, use_bias=False, rng=rng),
-            ReLU(),
-            Dense(c3, dense_units, rng=rng),
-            ReLU(),
-            Dropout(dropout, rng=rng),
-            Dense(dense_units, num_classes, rng=rng),
-        ]
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.forward(x, training=training)
-        return x  # (B, w, classes) — Dense applies position-wise
-
-    def backward(self, grad: np.ndarray) -> None:
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-
-    def parameters(self) -> list[Parameter]:
-        return [p for layer in self.layers for p in layer.parameters()]
 
 
 class DeepMapVertexClassifier:
@@ -111,32 +69,32 @@ class DeepMapVertexClassifier:
 
         self.vocabulary_: FeatureVocabulary | None = None
         self.encoder_: DeepMapEncoder | None = None
-        self.network_: _VertexNetwork | None = None
+        self.network_: Sequential | None = None
         self.classes_: np.ndarray | None = None
         self.loss_history_: list[float] = []
 
     # ------------------------------------------------------------------
-    def _matrices(self, graphs: list[Graph], fit: bool) -> list[np.ndarray]:
+    def _encode(self, graphs: list[Graph], fit: bool) -> EncodedDataset:
         counts = self.extractor.extract(graphs)
         if fit:
             self.vocabulary_ = FeatureVocabulary.from_counts(counts)
+            self.encoder_ = DeepMapEncoder(r=self.r, ordering=self.ordering).fit(graphs)
         check_fitted(self, "vocabulary_")
-        assert self.vocabulary_ is not None
-        return [self.vocabulary_.vectorize_rows(vc) for vc in counts]
+        assert self.vocabulary_ is not None and self.encoder_ is not None
+        matrices = [self.vocabulary_.vectorize_rows(vc) for vc in counts]
+        return self.encoder_.encode(graphs, matrices)
 
     def _slot_targets(
-        self, graphs: list[Graph], targets: list[np.ndarray], w: int, index: dict
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-slot class indices (and mask) aligned with the encoding."""
-        slot_y = np.zeros((len(graphs), w), dtype=np.int64)
-        mask = np.zeros((len(graphs), w), dtype=np.float64)
-        for gi, (g, t) in enumerate(zip(graphs, targets)):
-            scores = centrality_scores(g, self.ordering)
-            sequence = vertex_sequence(g, scores, self.ordering)[:w]
-            for slot, v in enumerate(sequence):
-                slot_y[gi, slot] = index[int(t[int(v)])]
-                mask[gi, slot] = 1.0
-        return slot_y, mask
+        self, encoded: EncodedDataset, targets: list[np.ndarray]
+    ) -> np.ndarray:
+        """Per-slot class indices aligned with the encoding (0 on padding)."""
+        assert self.classes_ is not None
+        slot_y = np.zeros(encoded.slots.shape, dtype=np.int64)
+        for gi, t in enumerate(targets):
+            row = encoded.slots[gi]
+            real = row != DUMMY
+            slot_y[gi, real] = np.searchsorted(self.classes_, t[row[real]])
+        return slot_y
 
     # ------------------------------------------------------------------
     def fit(
@@ -152,16 +110,22 @@ class DeepMapVertexClassifier:
                     f"target shape {t.shape} mismatches graph with {g.n} vertices"
                 )
         self.classes_ = np.unique(np.concatenate(targets))
-        index = {int(c): i for i, c in enumerate(self.classes_)}
 
-        matrices = self._matrices(graphs, fit=True)
-        self.encoder_ = DeepMapEncoder(r=self.r, ordering=self.ordering).fit(graphs)
-        encoded = self.encoder_.encode(graphs, matrices)
-        slot_y, mask = self._slot_targets(graphs, targets, encoded.w, index)
+        encoded = self._encode(graphs, fit=True)
+        slot_y = self._slot_targets(encoded, targets)
 
         rng = as_rng(self.seed)
-        self.network_ = _VertexNetwork(
-            m=encoded.m, r=self.r, num_classes=self.classes_.size, rng=rng
+        # Conv stack + position-wise head: (B, w*r, m) -> (B, w, classes);
+        # Dense applies per slot on 3-D input.
+        c3 = DEFAULT_CHANNELS[-1]
+        self.network_ = Sequential(
+            conv_stack(encoded.m, self.r, rng=rng)
+            + [
+                Dense(c3, 64, rng=rng),
+                ReLU(),
+                Dropout(0.5, rng=rng),
+                Dense(64, self.classes_.size, rng=rng),
+            ]
         )
         optimizer = RMSprop(self.network_.parameters(), lr=0.01)
         scheduler = ReduceLROnPlateau(optimizer)
@@ -178,9 +142,8 @@ class DeepMapVertexClassifier:
                 idx = order[start : start + self.batch_size]
                 x = encoded.tensors[idx]
                 y = slot_y[idx]
-                m = mask[idx]
                 logits = self.network_.forward(x, training=True)
-                real = m.reshape(-1) > 0
+                real = encoded.slots[idx].reshape(-1) != DUMMY
                 flat_logits = logits.reshape(-1, logits.shape[-1])[real]
                 flat_y = y.reshape(-1)[real]
                 loss = loss_fn.forward(flat_logits, flat_y)
@@ -200,41 +163,22 @@ class DeepMapVertexClassifier:
         return self
 
     # ------------------------------------------------------------------
+    def _logits(self, graphs: list[Graph]) -> tuple[EncodedDataset, np.ndarray]:
+        check_fitted(self, "network_")
+        assert self.network_ is not None
+        encoded = self._encode(graphs, fit=False)
+        return encoded, self.network_.forward(encoded.tensors, training=False)
+
     def predict(self, graphs: list[Graph]) -> list[np.ndarray]:
         """Per-graph arrays of predicted vertex labels."""
-        check_fitted(self, "network_")
-        assert self.network_ is not None and self.classes_ is not None
-        assert self.encoder_ is not None
-        matrices = self._matrices(graphs, fit=False)
-        encoded = self.encoder_.encode(graphs, matrices)
-        logits = self.network_.forward(encoded.tensors, training=False)
-        out: list[np.ndarray] = []
-        for gi, g in enumerate(graphs):
-            scores = centrality_scores(g, self.ordering)
-            sequence = vertex_sequence(g, scores, self.ordering)[: encoded.w]
-            labels = np.zeros(g.n, dtype=np.int64)
-            for slot, v in enumerate(sequence):
-                labels[int(v)] = self.classes_[int(np.argmax(logits[gi, slot]))]
-            out.append(labels)
-        return out
+        encoded, logits = self._logits(graphs)
+        assert self.classes_ is not None
+        return encoded.to_vertices(self.classes_[np.argmax(logits, axis=-1)], graphs)
 
     def predict_proba(self, graphs: list[Graph]) -> list[np.ndarray]:
         """Per-graph ``(n, classes)`` probability arrays."""
-        check_fitted(self, "network_")
-        assert self.network_ is not None and self.encoder_ is not None
-        matrices = self._matrices(graphs, fit=False)
-        encoded = self.encoder_.encode(graphs, matrices)
-        logits = self.network_.forward(encoded.tensors, training=False)
-        probs = softmax(logits)
-        out: list[np.ndarray] = []
-        for gi, g in enumerate(graphs):
-            scores = centrality_scores(g, self.ordering)
-            sequence = vertex_sequence(g, scores, self.ordering)[: encoded.w]
-            p = np.zeros((g.n, probs.shape[-1]), dtype=np.float64)
-            for slot, v in enumerate(sequence):
-                p[int(v)] = probs[gi, slot]
-            out.append(p)
-        return out
+        encoded, logits = self._logits(graphs)
+        return encoded.to_vertices(softmax(logits), graphs)
 
     def score(
         self, graphs: list[Graph], vertex_targets: list[np.ndarray | list]

@@ -25,7 +25,7 @@ Operations
 ``kv_get`` / ``kv_put``
     The KV tensor interface: payloads of the local
     :class:`~repro.cache.FeatureMapCache` addressed by the existing
-    content-addressed keys (``counts``/``vfm``/``enc`` namespaces).
+    content-addressed keys (``counts``/``enc`` namespaces).
     ``kv_get`` answers from the *local* tiers only (``local_only=True``)
     so two workers that both miss can never recurse into each other.
 ``run_fold``

@@ -193,7 +193,7 @@ class WLVertexFeatures(VertexFeatureExtractor):
     #: Color-scheme token folded into :func:`repro.cache.extractor_fingerprint`.
     #: The integer radix remap produces different (partition-equivalent)
     #: color values than the original blake2b signature hashing, so cached
-    #: ``counts``/``vfm`` payloads written under the old scheme must miss
+    #: ``counts`` payloads written under the old scheme must miss
     #: rather than serve stale color keys.  Bump on any color-value change.
     CACHE_VERSION = "wl-colors/mix64-v2"
 
@@ -439,43 +439,18 @@ def extract_vertex_feature_matrices(
     """Run ``extractor`` and embed every vertex in a shared dense space.
 
     Returns ``(matrices, vocabulary)`` where ``matrices[i]`` has shape
-    ``(graphs[i].n, m)`` and ``m = len(vocabulary)``.  When a feature-map
-    cache is configured (``cache`` argument or the process default) the
-    dense matrices and the vocabulary are memoized by dataset content +
-    extractor configuration; a warm hit skips extraction entirely and
-    returns bitwise-identical arrays.
+    ``(graphs[i].n, m)`` and ``m = len(vocabulary)``.  Extraction goes
+    through :func:`cached_vertex_counts`, so with a feature-map cache
+    configured (``cache`` argument or the process default) a warm hit
+    skips extraction and returns bitwise-identical arrays.
     """
-    from repro import cache as cache_mod
-
-    cache = cache if cache is not None else cache_mod.get_cache()
-    key = None
-    if cache is not None:
-        key = cache_mod.cache_key(
-            "vfm",
-            cache_mod.dataset_fingerprint(graphs),
-            cache_mod.extractor_fingerprint(extractor),
-        )
-        payload = cache.get(key, namespace="vfm")
-        if payload is not None:
-            matrices = [
-                payload[f"matrix_{i:05d}"] for i in range(len(graphs))
-            ]
-            vocab = FeatureVocabulary()
-            vocab.add_all(payload["vocab"][0])
-            return matrices, vocab.freeze()
     with obs.span("feature_map", extractor=extractor.name, graphs=len(graphs)):
         with obs.span("extract"):
-            per_graph_counts = extractor.extract(graphs)
+            per_graph_counts = cached_vertex_counts(extractor, graphs, cache=cache)
         with obs.span("vocabulary"):
             vocab = FeatureVocabulary.from_counts(per_graph_counts)
         with obs.span("vectorize", m=vocab.size):
             matrices = [vocab.vectorize_rows(vc) for vc in per_graph_counts]
-    if cache is not None and key is not None:
-        boxed = np.empty(1, dtype=object)
-        boxed[0] = vocab.keys()
-        payload = {f"matrix_{i:05d}": m for i, m in enumerate(matrices)}
-        payload["vocab"] = boxed
-        cache.put(key, payload, namespace="vfm")
     return matrices, vocab
 
 

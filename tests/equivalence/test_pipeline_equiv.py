@@ -30,6 +30,7 @@ from repro.core.alignment import (
 )
 from repro.core.pipeline import DeepMapEncoder
 from repro.core.receptive_field import (
+    DUMMY,
     all_receptive_fields,
     all_receptive_fields_many,
 )
@@ -77,6 +78,15 @@ def _encode_inputs(graphs, r, w):
     ]
     fields = [all_receptive_fields(g, r, s) for g, s in zip(graphs, scores)]
     return matrices, sequences, fields, vocab.size
+
+
+def _expected_slots(graphs, w):
+    """Per-graph ``vertex_sequence(...)[:w]`` padded with ``DUMMY``."""
+    slots = np.full((len(graphs), w), DUMMY, dtype=np.int64)
+    for gi, g in enumerate(graphs):
+        seq = vertex_sequence(g, centrality_scores(g, "eigenvector"), "eigenvector")
+        slots[gi, : min(g.n, w)] = seq[:w]
+    return slots
 
 
 class TestAssemble:
@@ -167,12 +177,14 @@ class TestEncodeEndToEnd:
         assert_bitwise_equal(encoded.vertex_mask, ref_m, "vertex_mask")
 
     @settings(max_examples=20)
-    @given(graph_batches(), st.integers(1, 4), st.integers(0, 3))
+    @given(graph_batches(), st.integers(1, 4), st.integers(-3, 3))
     def test_fused_encode_equals_staged_stages(self, graphs, r, extra_w):
         """The full fused path vs the preserved pre-fusion staged body,
-        including dummy-padded sequence slots (w above every graph)."""
+        including dummy-padded sequence slots (w above every graph) and
+        truncated sequences (graphs larger than w); the slot table is
+        the per-graph vertex sequence."""
         matrices, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
-        w = max(g.n for g in graphs) + extra_w
+        w = max(1, max(g.n for g in graphs) + extra_w)
         encoder = DeepMapEncoder(r=r, w=w)
         encoded = encoder.encode(graphs, matrices)
         ref_t, ref_m = _reference_encode_stages(
@@ -180,6 +192,7 @@ class TestEncodeEndToEnd:
         )
         assert_bitwise_equal(encoded.tensors, ref_t, "tensors")
         assert_bitwise_equal(encoded.vertex_mask, ref_m, "vertex_mask")
+        assert_bitwise_equal(encoded.slots, _expected_slots(graphs, w), "slots")
 
     def test_fused_encode_single_vertex_graphs(self):
         graphs = [Graph(1, [], [0]), Graph(1, [], [1]), Graph(3, [(0, 1)], [0, 1, 1])]
@@ -225,6 +238,17 @@ class TestEncodeEndToEnd:
         ).hexdigest()
         assert tensor_digest == WL_TENSOR_DIGEST
         assert mask_digest == PRE_PR_MASK_DIGEST
+
+    def test_slots_of_edgeless_tied_and_truncated_graphs(self):
+        graphs = [
+            Graph(3, [], [1, 1, 1]),  # edgeless, every score tied
+            Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [0, 0, 0, 0]),  # C4 ties
+            Graph(6, [(0, 1), (1, 2), (3, 4)], [0, 0, 1, 2, 2, 0]),  # > w
+        ]
+        matrices, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
+        encoded = DeepMapEncoder(r=2, w=4).encode(graphs, matrices)
+        assert_bitwise_equal(encoded.slots, _expected_slots(graphs, 4), "slots")
+        assert encoded.slots[0].tolist()[-1] == DUMMY
 
     def test_dummy_rows_are_all_zero(self):
         graphs = _pinned_dataset()

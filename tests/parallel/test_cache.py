@@ -82,6 +82,22 @@ class TestTiers:
         assert cache.get("key-0") is not None
         assert cache.get("key-1") is None
 
+    def test_disk_put_is_not_pinned_in_memory(self, tmp_path):
+        cache = FeatureMapCache(cache_dir=tmp_path)
+        cache.put("key-d", _payload(0))
+        assert len(cache) == 0
+        _assert_payload_equal(cache.get("key-d"), _payload(0))
+        assert cache.stats.disk_hits == 1 and cache.stats.mmap_hits == 1
+        assert len(cache) == 1  # the disk hit is promoted as mapped views
+        assert all(isinstance(a, np.memmap) for a in cache.get("key-d").values())
+
+    def test_put_replaces_a_promoted_payload(self, tmp_path):
+        cache = FeatureMapCache(cache_dir=tmp_path)
+        cache.put("key-r", _payload(0))
+        cache.get("key-r")  # promoted into memory
+        cache.put("key-r", _payload(1))
+        _assert_payload_equal(cache.get("key-r"), _payload(1))
+
     def test_memory_tier_disabled(self, tmp_path):
         cache = FeatureMapCache(cache_dir=tmp_path, memory_items=0)
         cache.put("key-x", _payload(0))
@@ -188,7 +204,7 @@ class TestDefaultCache:
 
 
 class TestCachedHelpers:
-    def test_vfm_hit_is_bitwise_identical(self, small_dataset, tmp_path):
+    def test_counts_hit_is_bitwise_identical(self, small_dataset, tmp_path):
         graphs, _ = small_dataset
         extractor = WLVertexFeatures(h=2)
         cache = FeatureMapCache(cache_dir=tmp_path)
@@ -199,6 +215,7 @@ class TestCachedHelpers:
             graphs, extractor, cache=cache
         )
         assert cache.stats.hits == 1 and cache.stats.misses == 1
+        assert cache.stats.by_namespace["counts_hits"] == 1
         assert warm_v.keys() == cold_v.keys()
         for a, b in zip(cold_m, warm_m):
             assert a.dtype == b.dtype
@@ -216,9 +233,21 @@ class TestCachedHelpers:
             graphs, extractor, cache=fresh
         )
         assert fresh.stats.disk_hits == 1
+        assert fresh.stats.by_namespace["counts_hits"] == 1
         assert warm_v.keys() == cold_v.keys()
         for a, b in zip(cold_m, warm_m):
             np.testing.assert_array_equal(a, b)
+
+    def test_feature_matrices_cache_only_counts(self, small_dataset, tmp_path):
+        """Dense matrices are rebuilt from cached counts, never stored."""
+        graphs, _ = small_dataset
+        cache = FeatureMapCache(cache_dir=tmp_path)
+        for _ in range(2):
+            extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=2), cache=cache)
+        assert set(cache.stats.by_namespace) == {
+            "counts_misses", "counts_stores", "counts_hits"
+        }
+        assert cache.disk_usage()[0] == 1
 
     def test_cache_stats_diff_and_merge_roundtrip(self):
         cache = FeatureMapCache()

@@ -69,7 +69,7 @@ class TestInvariance:
 class TestSensitivity:
     @given(st.lists(scalars, min_size=1, max_size=6))
     def test_different_namespaces_never_collide(self, parts):
-        assert cache_key("vfm", *parts) != cache_key("counts", *parts)
+        assert cache_key("enc", *parts) != cache_key("counts", *parts)
 
     @given(random_graphs(min_nodes=2), random_graphs(min_nodes=2))
     def test_dataset_order_matters(self, g1, g2):

@@ -16,8 +16,8 @@ algorithm tag when an extractor declares one — so:
   retired — a stale pre-remap WL entry must be unreachable, never
   silently served.
 
-The disk-hit simulations go one step further and place an ``.npz`` at
-the literal pinned key: the current lookup must HIT it, not recompute.
+The disk round trips go one step further and land on the literal pinned
+``enc`` key: a warm lookup must HIT it, not recompute.
 """
 
 from __future__ import annotations
@@ -44,32 +44,28 @@ from repro.graph import Graph
 #: Fingerprint of `_pinned_dataset()` captured at the seed commit.
 PRE_PR_DATASET_FP = "ec7333c5e7572cf6fb5de54118daeadd"
 
-#: Stable extractors: (constructor, fingerprint, counts key, vfm key)
+#: Stable extractors: (constructor, fingerprint, counts key)
 #: captured pre-vectorization; bitwise-unchanged outputs, keys must hold.
 STABLE_EXTRACTORS = [
     (
         lambda: GraphletVertexFeatures(k=3, samples=5, seed=0),
         "2bf3e5d4cc3ead24d66fbdcfebd38aea",
         "2d33bd3440888fede1fc1eb6f931c8c1",
-        "d308cd6ed50dc77a84b483cf071ef943",
     ),
     (
         lambda: ShortestPathVertexFeatures(),
         "712b01bc4da39db7fd181864f4a27f0e",
         "c1ec41afb53c326176ecd447e7282389",
-        "52ea30aa23bfa30a03534560ae5ef85b",
     ),
 ]
 
 #: WL h=2 keys before the color remap (blake2b color era) — retired.
 OLD_WL_FP = "ddf25e900aa43fd4a4f8719a5345725e"
 OLD_WL_COUNTS_KEY = "e2125e7b4842bcd69df4a5984fc4e6c7"
-OLD_WL_VFM_KEY = "3cb68a72dc35c02e926e0013f018ab99"
 
 #: WL h=2 keys under CACHE_VERSION "wl-colors/mix64-v2" (current).
 WL_FP = "796dcb8290b751cdc2f26884f494b834"
 WL_COUNTS_KEY = "e6cabf6742faee0d73d8ce4436320678"
-WL_VFM_KEY = "8003bed5f5614c3ddd5b66688bd68758"
 
 #: Encoder tensor key for SP matrices with r=3, eigenvector, w=6 —
 #: captured before the fused-encode PR; SP features are remap-immune, so
@@ -90,16 +86,15 @@ class TestPinnedKeys:
         assert dataset_fingerprint(_pinned_dataset()) == PRE_PR_DATASET_FP
 
     @pytest.mark.parametrize(
-        "make,fp,counts_key,vfm_key",
+        "make,fp,counts_key",
         STABLE_EXTRACTORS,
         ids=["graphlet", "shortest_path"],
     )
-    def test_stable_extractor_keys_unchanged(self, make, fp, counts_key, vfm_key):
+    def test_stable_extractor_keys_unchanged(self, make, fp, counts_key):
         extractor = make()
         assert extractor_fingerprint(extractor) == fp
         ds = dataset_fingerprint(_pinned_dataset())
         assert cache_key("counts", ds, fp) == counts_key
-        assert cache_key("vfm", ds, fp) == vfm_key
 
     def test_wl_keys_rotated_exactly_once(self):
         """The remap changed WL outputs, so CACHE_VERSION must have
@@ -110,7 +105,6 @@ class TestPinnedKeys:
         assert fp != OLD_WL_FP
         ds = dataset_fingerprint(_pinned_dataset())
         assert cache_key("counts", ds, fp) == WL_COUNTS_KEY != OLD_WL_COUNTS_KEY
-        assert cache_key("vfm", ds, fp) == WL_VFM_KEY != OLD_WL_VFM_KEY
 
     def test_wl_fingerprint_tracks_cache_version(self):
         """A CACHE_VERSION bump alone must rotate the fingerprint."""
@@ -136,50 +130,12 @@ class TestPinnedKeys:
 
 
 class TestPrePrEntriesStillHit:
-    @pytest.mark.parametrize(
-        "make,vfm_key",
-        [
-            (STABLE_EXTRACTORS[0][0], STABLE_EXTRACTORS[0][3]),
-            (STABLE_EXTRACTORS[1][0], STABLE_EXTRACTORS[1][3]),
-        ],
-        ids=["graphlet", "shortest_path"],
-    )
-    def test_simulated_pre_pr_npz_entry_hits(self, tmp_path, make, vfm_key):
-        """A .npz written under the pre-PR key is served, not recomputed.
-
-        The payload bytes are legitimate to synthesize with today's code:
-        `tests/equivalence/test_pipeline_equiv.py` pins the vectorized
-        outputs bitwise to pre-PR digests, so the arrays on disk are
-        identical either way.  What this test adds is the *address*
-        check — the lookup lands on the literal pinned key.
-        """
-        graphs = _pinned_dataset()
-        extractor = make()
-        matrices, vocab = extract_vertex_feature_matrices(graphs, extractor)
-
-        path = tmp_path / vfm_key[:2] / f"{vfm_key}.npz"
-        path.parent.mkdir(parents=True)
-        boxed = np.empty(1, dtype=object)
-        boxed[0] = vocab.keys()
-        payload = {f"matrix_{i:05d}": m for i, m in enumerate(matrices)}
-        payload["vocab"] = boxed
-        np.savez(path, **payload)
-
-        cache = FeatureMapCache(cache_dir=tmp_path)
-        got_matrices, got_vocab = extract_vertex_feature_matrices(
-            graphs, extractor, cache=cache
-        )
-        assert cache.stats.disk_hits == 1 and cache.stats.misses == 0
-        assert got_vocab.keys() == vocab.keys()
-        for got, want in zip(got_matrices, matrices):
-            assert got.tobytes() == want.tobytes()
-
     def test_stale_pre_remap_wl_entry_is_never_served(self, tmp_path):
         """An entry parked at the OLD WL key must be ignored — the
         rotated fingerprint makes it unreachable, forcing a recompute
         under the new color scheme instead of serving stale colors."""
         graphs = _pinned_dataset()
-        path = tmp_path / OLD_WL_VFM_KEY[:2] / f"{OLD_WL_VFM_KEY}.npz"
+        path = tmp_path / OLD_WL_COUNTS_KEY[:2] / f"{OLD_WL_COUNTS_KEY}.npz"
         path.parent.mkdir(parents=True)
         np.savez(path, poison=np.zeros(1))
 
@@ -187,7 +143,7 @@ class TestPrePrEntriesStillHit:
         extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=2), cache=cache)
         assert cache.stats.disk_hits == 0
         assert cache.stats.misses == 1
-        assert (tmp_path / WL_VFM_KEY[:2] / f"{WL_VFM_KEY}.npz").exists()
+        assert (tmp_path / WL_COUNTS_KEY[:2] / f"{WL_COUNTS_KEY}.npz").exists()
 
     def test_warm_cache_round_trips_through_fused_encode(self, tmp_path):
         """Cold write then warm read of the full encode path, same bits,
@@ -206,3 +162,31 @@ class TestPrePrEntriesStillHit:
         assert fresh.stats.disk_hits == 1
         assert warm.tensors.tobytes() == cold.tensors.tobytes()
         assert warm.vertex_mask.tobytes() == cold.vertex_mask.tobytes()
+        assert warm.slots.dtype == np.int64
+        assert warm.slots.tobytes() == cold.slots.tobytes()
+
+    def test_enc_payload_without_slots_is_recomputed(self, tmp_path):
+        """An ``enc`` entry written before the slot table existed
+        (``{tensors, vertex_mask}``) sits under the unchanged key: it is
+        treated as a miss, recomputed bitwise, and overwritten."""
+        graphs = _pinned_dataset()
+        matrices, _ = extract_vertex_feature_matrices(
+            graphs, ShortestPathVertexFeatures()
+        )
+        want = DeepMapEncoder(r=3).fit(graphs).encode(graphs, matrices)
+        path = tmp_path / PRE_PR_SP_ENC_KEY[:2] / f"{PRE_PR_SP_ENC_KEY}.npz"
+        path.parent.mkdir(parents=True)
+        # Poisoned tensors: serving the stale entry would show.
+        np.savez(
+            path,
+            tensors=np.zeros_like(want.tensors),
+            vertex_mask=want.vertex_mask,
+        )
+
+        cache = FeatureMapCache(cache_dir=tmp_path)
+        got = DeepMapEncoder(r=3).fit(graphs).encode(graphs, matrices, cache=cache)
+        assert got.tensors.tobytes() == want.tensors.tobytes()
+        assert got.slots.tobytes() == want.slots.tobytes()
+        with np.load(path) as npz:
+            assert sorted(npz.files) == ["slots", "tensors"]
+            assert npz["tensors"].tobytes() == want.tensors.tobytes()

@@ -85,7 +85,7 @@ class TestGraphletSamplingDeterminism:
         """Regression pin: the exact sampled histograms for seed 11.
 
         If this breaks, the graphlet RNG derivation changed — every
-        cached "counts"/"vfm" entry for GK features is silently stale
+        cached "counts" entry for GK features is silently stale
         and cache keys must be revisited.
         """
         ex = GraphletVertexFeatures(k=3, samples=7, seed=11)
