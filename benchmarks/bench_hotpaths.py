@@ -51,9 +51,8 @@ import numpy as np
 
 from benchmarks._common import print_header, print_table
 from repro.core.alignment import centrality_scores, union_vertex_order
-from repro.core.pipeline import _assemble_fused, _slot_table
+from repro.core.pipeline import EncodedDataset, _field_rows, _slot_table
 from repro.core.receptive_field import (
-    DUMMY,
     all_receptive_fields,
     all_receptive_fields_many,
 )
@@ -337,13 +336,19 @@ def test_fused_encode():
     m = matrices[0].shape[1]
 
     def vectorized():
-        # The body of DeepMapEncoder.encode, minus cache/obs wrapping.
+        # The body of DeepMapEncoder.encode, minus cache/obs wrapping,
+        # then take_rows of every graph: the dense tensor the reference
+        # assembles.
         scores = [centrality_scores(g, "eigenvector") for g in graphs]
         union = union_vertex_order(graphs, scores)
         slots = _slot_table(union, w)
         fields = all_receptive_fields_many(graphs, r, scores, union=union)
-        tensors = _assemble_fused(matrices, slots, fields, union, r, m)
-        return tensors, (slots != DUMMY).astype(np.float64)
+        features = np.concatenate(
+            [*matrices, np.zeros((1, m))], axis=0, dtype=np.float64
+        )
+        rows = _field_rows(slots, fields, union, r, len(features) - 1)
+        encoded = EncodedDataset(features, rows, slots, w, r, m)
+        return encoded.take_rows(np.arange(len(graphs))), encoded.vertex_mask
 
     def reference():
         return _reference_encode_stages(graphs, matrices, w, r, m)

@@ -8,12 +8,14 @@ vertices.  Two attribution methods:
   feature map is pushed through the (locally linearised) dense head and
   scored for the predicted class.  Exact for the final linear layer,
   first-order for the ReLU dense stack.
-* :func:`occlusion_scores` — model-agnostic: zero out one vertex's
-  receptive-field rows at a time and measure the predicted-class logit
-  drop.  Exact but ``n`` forward passes per graph.
+* :func:`occlusion_scores` — model-agnostic: point one vertex's
+  receptive-field rows at the zero row at a time and measure the
+  predicted-class logit drop.  Exact but ``n`` forward passes per graph.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -67,7 +69,8 @@ def occlusion_scores(
     """Per-vertex logit drop when the vertex is occluded.
 
     Occlusion zeroes every receptive-field row belonging to the vertex's
-    sequence slot (its whole local patch), re-runs the network, and
+    sequence slot (its whole local patch) by pointing those cells of the
+    row-index table at the zero feature row, re-runs the network, and
     reports ``logit(original) - logit(occluded)`` for the target class.
     """
     check_fitted(model, "network_")
@@ -76,14 +79,15 @@ def occlusion_scores(
     from repro.nn.model import predict_logits
 
     encoded = model.encode([graph], fit=False)
-    base_logits = predict_logits(model.network_, encoded.tensors)[0]
+    base_logits = predict_logits(model.network_, encoded)[0]
     cls = int(np.argmax(base_logits)) if target_class is None else int(target_class)
 
     r = encoded.r
+    zero_row = len(encoded.features) - 1
     drops = np.zeros((1, encoded.w), dtype=np.float64)
     for slot in np.flatnonzero(encoded.slots[0] != DUMMY):
-        occluded = encoded.tensors.copy()
-        occluded[0, slot * r : (slot + 1) * r, :] = 0.0
+        occluded = replace(encoded, rows=encoded.rows.copy())
+        occluded.rows[0, slot * r : (slot + 1) * r] = zero_row
         logits = predict_logits(model.network_, occluded)[0]
         drops[0, slot] = base_logits[cls] - logits[cls]
     return encoded.to_vertices(drops, [graph])[0]

@@ -62,7 +62,7 @@ class DeepMapClassifier:
         Controls initialisation, dropout and shuffling.
     cache:
         Optional :class:`repro.cache.FeatureMapCache` memoizing vertex
-        counts and encoded tensors; ``None`` (default) uses the
+        counts and encodings; ``None`` (default) uses the
         process-wide cache when one is configured.
     """
 
@@ -127,7 +127,7 @@ class DeepMapClassifier:
             return [self.vocabulary_.vectorize_rows(vc) for vc in counts]
 
     def encode(self, graphs: list[Graph], fit: bool = False):
-        """Vertex feature maps -> Algorithm 1 tensors for ``graphs``."""
+        """Vertex feature maps -> Algorithm 1 encoding of ``graphs``."""
         if not fit:
             check_fitted(self, "encoder_")
         matrices = self._feature_matrices(graphs, fit_vocabulary=fit)
@@ -144,7 +144,7 @@ class DeepMapClassifier:
         validation: tuple[list[Graph], np.ndarray] | None = None,
         epoch_callback=None,
     ) -> "DeepMapClassifier":
-        """Extract features, build tensors, train the CNN.
+        """Extract features, encode, train the CNN.
 
         ``validation`` (graphs, labels) adds per-epoch validation accuracy
         to ``history_`` for the epoch-selection protocol.
@@ -180,11 +180,11 @@ class DeepMapClassifier:
                 val_y = check_labels(val_y)
                 val_targets = np.array([class_index[int(v)] for v in val_y])
                 val_encoded = self.encode(val_graphs, fit=False)
-                val_data = (val_encoded.tensors, val_targets)
+                val_data = (val_encoded, val_targets)
             with obs.span("train", epochs=self.epochs, batch_size=self.batch_size):
                 self.history_ = trainer.fit(
                     self.network_,
-                    encoded.tensors,
+                    encoded,
                     targets,
                     validation=val_data,
                     epoch_callback=epoch_callback,
@@ -224,9 +224,9 @@ class DeepMapClassifier:
 
         Every inference stage — feature extraction, alignment, receptive
         fields, the CNN forward — is per-graph independent, so chunking
-        changes peak memory (one ``(chunk, w*r, m)`` tensor at a time
-        instead of ``(n, w*r, m)``) but never the results: outputs are
-        bitwise-identical for any ``chunk_size``.
+        changes peak memory (one chunk's feature rows and row-index table
+        at a time instead of the whole list's) but never the results:
+        outputs are bitwise-identical for any ``chunk_size``.
         """
         if chunk_size is None:
             yield graphs
@@ -242,14 +242,14 @@ class DeepMapClassifier:
         """Predicted class labels for held-out graphs.
 
         ``chunk_size`` bounds inference memory: graphs are encoded and
-        classified ``chunk_size`` at a time instead of materialising one
-        ``(n, w*r, m)`` tensor for the whole list.
+        classified ``chunk_size`` at a time instead of encoding the whole
+        list at once.
         """
         check_fitted(self, "network_")
         assert self.classes_ is not None
         idx = np.concatenate(
             [
-                predict_labels(self.network_, self.encode(chunk, fit=False).tensors)
+                predict_labels(self.network_, self.encode(chunk, fit=False))
                 for chunk in self._chunks(graphs, chunk_size)
             ]
         )
@@ -266,7 +266,7 @@ class DeepMapClassifier:
         check_fitted(self, "network_")
         return np.concatenate(
             [
-                predict_proba(self.network_, self.encode(chunk, fit=False).tensors)
+                predict_proba(self.network_, self.encode(chunk, fit=False))
                 for chunk in self._chunks(graphs, chunk_size)
             ]
         )
@@ -300,14 +300,15 @@ class DeepMapClassifier:
         """Activations after the last conv/ReLU, shape ``(B, w, c)``."""
         check_fitted(self, "network_")
         assert self.network_ is not None
-        x = encoded.tensors
+        from repro.nn.model import predict_logits
+        from repro.nn.module import Sequential
         from repro.nn.pooling import Flatten, SumPool1D
 
-        for layer in self.network_.layers:
-            if isinstance(layer, (SumPool1D, Flatten)):
-                return x
-            x = layer.forward(x, training=False)
-        raise RuntimeError("network has no readout layer")  # pragma: no cover
+        layers = self.network_.layers
+        readout = next(
+            i for i, l in enumerate(layers) if isinstance(l, (SumPool1D, Flatten))
+        )
+        return predict_logits(Sequential(layers[:readout]), encoded)
 
 
 def deepmap_gk(

@@ -1,4 +1,4 @@
-"""Algorithm 1: from graphs + vertex feature maps to CNN input tensors.
+"""Algorithm 1: from graphs + vertex feature maps to CNN input.
 
 For each graph, the vertex sequence (sorted by centrality) is padded to
 the dataset maximum ``w``; every sequence slot contributes its receptive
@@ -8,14 +8,15 @@ field positions) are all-zero rows, which — combined with the bias-free
 convolutions of :mod:`repro.core.architecture` — guarantees they never
 contribute to the deep feature map (the paper's dummy-vertex property).
 
-The encode path is *fused*: one shared lexsort over the disjoint union
-of all graphs feeds both the alignment sequences and the
-receptive-field tie-breaking, and assembly gathers from a single
-stacked feature matrix straight into the output tensor — no per-graph
-intermediate is re-materialized between stages.  The pre-fusion staged
-composition and the per-slot assembly are test oracles in
-``tests/oracles/core.py``; ``tests/equivalence/test_pipeline_equiv.py``
-pins this path to them bitwise.
+That input is a gather, so it is never stored: an
+:class:`EncodedDataset` holds each vertex feature row once and an
+``(n, w * r)`` row-index table into them, and ``take_rows`` builds one
+mini-batch's dense input on demand.  One shared lexsort over the
+disjoint union of all graphs feeds both the alignment sequences and the
+receptive-field tie-breaking.  The staged per-graph encode and the dense
+per-slot assembly are test oracles in ``tests/oracles/core.py``;
+``tests/equivalence/test_pipeline_equiv.py`` pins ``take_rows`` to them
+bitwise.
 """
 
 from __future__ import annotations
@@ -39,12 +40,18 @@ __all__ = ["DeepMapEncoder", "EncodedDataset"]
 
 @dataclass
 class EncodedDataset:
-    """The tensors Algorithm 1 hands to the CNN.
+    """What Algorithm 1 hands to the CNN, as a row-index table.
 
     Attributes
     ----------
-    tensors:
-        ``(n_graphs, w * r, m)`` input array.
+    features:
+        ``(total_vertices + 1, m)`` float64 vertex feature-map rows of
+        every graph, stacked in graph order, plus one trailing all-zero
+        row that every dummy cell points at.
+    rows:
+        ``(n_graphs, w * r)`` intp table: cell ``[gi, slot * r + j]`` is
+        the ``features`` row at position ``j`` of the receptive field of
+        the vertex in ``slot``.
     slots:
         ``(n_graphs, w)`` int64 slot -> vertex table: the local vertex id
         each sequence slot holds (centrality order), ``DUMMY`` (-1) for
@@ -54,11 +61,21 @@ class EncodedDataset:
         Sequence length, receptive-field size, feature dimension.
     """
 
-    tensors: np.ndarray
+    features: np.ndarray
+    rows: np.ndarray
     slots: np.ndarray
     w: int
     r: int
     m: int
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """Shape of the dense CNN input, ``(n_graphs, w * r, m)``."""
+        return (self.rows.shape[0], self.w * self.r, self.m)
+
+    def take_rows(self, idx: np.ndarray) -> np.ndarray:
+        """Dense ``(len(idx), w * r, m)`` CNN input of graphs ``idx``."""
+        return self.features[self.rows[idx]]
 
     @property
     def vertex_mask(self) -> np.ndarray:
@@ -150,13 +167,26 @@ class DeepMapEncoder:
             self.w,
         )
 
+    def cached(self, key: str, cache) -> EncodedDataset | None:
+        """The encoding ``cache`` holds under ``key``, or ``None``.
+
+        A payload without ``rows`` predates the row-index table (it held
+        the dense tensor): it counts as a miss, so :meth:`encode`
+        recomputes and overwrites it under the same key.
+        """
+        payload = cache.get(key, namespace="enc")
+        if payload is None or "rows" not in payload:
+            return None
+        m = payload["features"].shape[1]
+        return EncodedDataset(**payload, w=self.w, r=self.r, m=m)
+
     def encode(
         self,
         graphs: list[Graph],
         feature_matrices: list[np.ndarray],
         cache=None,
     ) -> EncodedDataset:
-        """Build the ``(n, w*r, m)`` tensor for ``graphs``.
+        """Encode ``graphs`` as a row-index table over their feature rows.
 
         ``feature_matrices[i]`` must be the ``(graphs[i].n, m)`` vertex
         feature-map matrix from
@@ -164,10 +194,10 @@ class DeepMapEncoder:
         vocabulary-aligned equivalent for held-out graphs).
 
         When a feature-map cache is available (``cache`` argument or the
-        process default), the assembled tensor is memoized by graph
-        content, feature-matrix content, and the encoder parameters
-        ``(r, ordering, w)``; a warm hit returns bitwise-identical
-        arrays without recomputing alignment or receptive fields.
+        process default), the encoding is memoized by graph content,
+        feature-matrix content, and the encoder parameters
+        ``(r, ordering, w)``; a warm hit returns bitwise-identical arrays
+        without recomputing alignment or receptive fields.
         """
         if self.w is None:
             self.fit(graphs)
@@ -190,13 +220,9 @@ class DeepMapEncoder:
         key = None
         if cache is not None:
             key = self.encode_key(graphs, feature_matrices)
-            payload = cache.get(key, namespace="enc")
-            # A payload without "slots" predates the slot table: recompute
-            # and overwrite it under the same key.
-            if payload is not None and "slots" in payload:
-                return EncodedDataset(
-                    tensors=payload["tensors"], slots=payload["slots"], w=w, r=r, m=m
-                )
+            hit = self.cached(key, cache)
+            if hit is not None:
+                return hit
         with obs.span("encode", graphs=n, w=w, r=r, m=m):
             # Stage 1: centrality-based vertex alignment (Section 4.2).
             # One lexsort over the disjoint union orders every graph at
@@ -210,13 +236,18 @@ class DeepMapEncoder:
                 all_fields = all_receptive_fields_many(
                     graphs, r, all_scores, union=union
                 )
-            # Stage 3: assemble the (n, w*r, m) CNN input tensor.
+            # Stage 3: stack the feature rows and index every input cell.
             with obs.span("assemble"):
-                tensors = _assemble_fused(feature_matrices, slots, all_fields, union, r, m)
+                features = np.concatenate(
+                    [*feature_matrices, np.zeros((1, m))], axis=0, dtype=np.float64
+                )
+                rows = _field_rows(slots, all_fields, union, r, len(features) - 1)
             obs.counter("graphs_encoded_total").inc(n)
+        encoded = EncodedDataset(features, rows, slots, w, r, m)
         if cache is not None and key is not None:
-            cache.put(key, {"tensors": tensors, "slots": slots}, namespace="enc")
-        return EncodedDataset(tensors=tensors, slots=slots, w=w, r=r, m=m)
+            payload = {"features": features, "rows": rows, "slots": slots}
+            cache.put(key, payload, namespace="enc")
+        return encoded
 
 
 def _slot_table(union: UnionOrder, w: int) -> np.ndarray:
@@ -229,48 +260,26 @@ def _slot_table(union: UnionOrder, w: int) -> np.ndarray:
     return slots
 
 
-def _assemble_fused(
-    feature_matrices: list[np.ndarray],
+def _field_rows(
     slots: np.ndarray,
     all_fields: list[np.ndarray],
     union: UnionOrder,
     r: int,
-    m: int,
+    zero_row: int,
 ) -> np.ndarray:
-    """Fused tensor assembly: flat index computation, streaming placement.
+    """``(n, w * r)`` row-index table into the stacked feature rows.
 
-    The (slot, field-position) → source-row mapping for *every* graph is
-    computed in two flat fancy gathers over the stacked receptive-field
-    table (this is the per-graph work the staged path re-did graph by
-    graph).  The float64 rows themselves are then placed one graph at a
-    time — a gather from that graph's small feature matrix straight into
-    its contiguous destination slice — because the tensor is padded and
-    memory-bound: streaming real cells beats any whole-tensor gather
-    (padding can double the bytes) and keeps each gather cache-hot.
-
-    Bitwise-equal to the per-graph and per-slot assemblies in
-    ``tests/oracles/core.py``: feature rows are copied, never
-    recomputed, and dummy cells are exactly zero.
+    The (slot, field-position) -> stacked-row mapping for *every* graph
+    comes from two flat fancy gathers over the stacked receptive-field
+    table; graph ``gi``'s vertex ``v`` is stacked row
+    ``union.starts[gi] + v``.  Dummy slots and unfilled field positions
+    point at ``zero_row``.
     """
     n, w = slots.shape
-    tensors = np.zeros((n, w * r, m), dtype=np.float64)
+    rows = np.full((n, w, r), zero_row, dtype=np.intp)
     real_slot = slots != DUMMY  # real slots are a prefix of each row
-    per_graph = real_slot.sum(axis=1)
-    if not real_slot.any():
-        return tensors
     fields_stack = np.concatenate(all_fields, axis=0)  # (total_vertices, r)
-    g_of_slot = np.repeat(np.arange(n), per_graph)
-    sel = fields_stack[union.starts[g_of_slot] + slots[real_slot]]  # (total_slots, r)
-    real = sel != DUMMY
-    src_local = np.where(real, sel, 0)
-    dummy = ~real
-    offs = 0
-    for gi, feats in enumerate(feature_matrices):
-        k = int(per_graph[gi])
-        if k == 0:
-            continue
-        block = feats[src_local[offs : offs + k]]  # (k, r, m)
-        block[dummy[offs : offs + k]] = 0.0
-        tensors[gi, : k * r] = block.reshape(k * r, m)
-        offs += k
-    return tensors
+    base = union.starts[np.repeat(np.arange(n), real_slot.sum(axis=1))]
+    sel = fields_stack[base + slots[real_slot]]  # (total_slots, r)
+    rows[real_slot] = np.where(sel != DUMMY, base[:, None] + sel, zero_row)
+    return rows.reshape(n, w * r)

@@ -26,6 +26,7 @@ from repro.nn.activations import ReLU
 from repro.nn.dense import Dense
 from repro.nn.dropout import Dropout
 from repro.nn.losses import SoftmaxCrossEntropy, softmax
+from repro.nn.model import predict_logits
 from repro.nn.module import Sequential
 from repro.nn.optimizers import RMSprop
 from repro.nn.schedulers import ReduceLROnPlateau
@@ -140,7 +141,7 @@ class DeepMapVertexClassifier:
             total_vertices = 0
             for start in range(0, n, self.batch_size):
                 idx = order[start : start + self.batch_size]
-                x = encoded.tensors[idx]
+                x = encoded.take_rows(idx)
                 y = slot_y[idx]
                 logits = self.network_.forward(x, training=True)
                 real = encoded.slots[idx].reshape(-1) != DUMMY
@@ -167,7 +168,7 @@ class DeepMapVertexClassifier:
         check_fitted(self, "network_")
         assert self.network_ is not None
         encoded = self._encode(graphs, fit=False)
-        return encoded, self.network_.forward(encoded.tensors, training=False)
+        return encoded, predict_logits(self.network_, encoded)
 
     def predict(self, graphs: list[Graph]) -> list[np.ndarray]:
         """Per-graph arrays of predicted vertex labels."""

@@ -34,14 +34,11 @@ __all__ = [
 
 Inputs = np.ndarray | tuple[np.ndarray, ...]
 # An input may also be any object exposing ``shape`` and
-# ``take_rows(idx)`` — the streaming pipeline's duck-typed row source
-# (repro.stream.StreamEncodedInputs).  ``take_rows`` must return exactly
-# what fancy-indexing the materialized array would, so the training loop
-# below is bitwise-oblivious to which one it was given.
-
-#: Seconds between background resource samples while training on
-#: streamed inputs (epoch-boundary samples are taken as well).
-STREAM_RESOURCE_INTERVAL_S = 1.0
+# ``take_rows(idx)`` — a row source that builds each mini-batch on
+# demand (repro.core.EncodedDataset, repro.stream.EncodedShardStore).
+# ``take_rows`` must return exactly what fancy-indexing the dense array
+# would, so the training loop below is bitwise-oblivious to which one it
+# was given.
 
 
 @dataclass
@@ -97,10 +94,6 @@ def _take(inputs: Inputs, idx: np.ndarray) -> Inputs:
 
 def _num_rows(inputs: Inputs) -> int:
     return _as_tuple(inputs)[0].shape[0]
-
-
-def _is_streamed(inputs: Inputs) -> bool:
-    return any(hasattr(a, "take_rows") for a in _as_tuple(inputs))
 
 
 class Trainer:
@@ -209,86 +202,64 @@ class Trainer:
             obs.counter("trainer_resumes_total").inc()
             obs.event("trainer_resume", start_epoch=start_epoch)
 
-        # Streamed inputs: watch peak RSS while the epoch is consumed as
-        # a stream — the background sampler covers long epochs, the
-        # epoch-boundary publish guarantees the gauges move even on
-        # epochs shorter than the sampling interval.  Materialized runs
-        # skip all of it.
-        streamed = _is_streamed(inputs)
-        sampler = None
-        if streamed:
-            from repro.obs.resources import ResourceSampler, publish_resources
-
-            sampler = ResourceSampler(
-                interval_s=STREAM_RESOURCE_INTERVAL_S,
-                extra=getattr(inputs, "gauges", None),
-            ).start()
-
-        try:
-            for epoch in range(start_epoch, self.epochs):
-                order = rng.permutation(n)
-                epoch_loss = 0.0
-                correct = 0
-                batch_norms: list[float] = []
-                for start in range(0, n, self.batch_size):
-                    idx = order[start : start + self.batch_size]
-                    batch_x = _take(inputs, idx)
-                    batch_y = y[idx]
-                    logits = network.forward(batch_x, training=True)
-                    loss = loss_fn.forward(logits, batch_y)
-                    network.zero_grad()
-                    network.backward(loss_fn.backward())
-                    if self.max_grad_norm is not None:
-                        batch_norms.append(
-                            clip_gradients(network.parameters(), self.max_grad_norm)
-                        )
-                    optimizer.step()
-                    epoch_loss += loss * idx.size
-                    correct += int((logits.argmax(axis=1) == batch_y).sum())
-                epoch_loss /= n
-                history.loss.append(epoch_loss)
-                history.train_accuracy.append(correct / n)
-                history.lr.append(optimizer.lr)
-                # Pre-clip gradient norm: batch mean under clipping, else the
-                # final batch's norm (the gradients are still in place).
-                if batch_norms:
-                    history.grad_norm.append(float(np.mean(batch_norms)))
-                else:
-                    history.grad_norm.append(global_grad_norm(network.parameters()))
-                if validation is not None:
-                    val_x, val_y = validation
-                    val_pred = predict_labels(network, val_x, self.batch_size)
-                    history.val_accuracy.append(
-                        float(np.mean(val_pred == check_labels(val_y)))
+        for epoch in range(start_epoch, self.epochs):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            correct = 0
+            batch_norms: list[float] = []
+            for start in range(0, n, self.batch_size):
+                idx = order[start : start + self.batch_size]
+                batch_x = _take(inputs, idx)
+                batch_y = y[idx]
+                logits = network.forward(batch_x, training=True)
+                loss = loss_fn.forward(logits, batch_y)
+                network.zero_grad()
+                network.backward(loss_fn.backward())
+                if self.max_grad_norm is not None:
+                    batch_norms.append(
+                        clip_gradients(network.parameters(), self.max_grad_norm)
                     )
-                scheduler.step(epoch_loss)
-                # lr is passed explicitly: the telemetry event reports the
-                # rate *after* any ReduceLROnPlateau decay.
-                telemetry(epoch, history, lr=optimizer.lr)
-                if streamed:
-                    publish_resources()
-                if epoch_callback is not None:
-                    epoch_callback(epoch, history)
-                # The stop decision is made *before* the checkpoint so the
-                # early-stopping counters inside the snapshot are exactly
-                # those of an uninterrupted run at this boundary.
-                stop = self.early_stopping is not None and self.early_stopping.should_stop(
-                    history
+                optimizer.step()
+                epoch_loss += loss * idx.size
+                correct += int((logits.argmax(axis=1) == batch_y).sum())
+            epoch_loss /= n
+            history.loss.append(epoch_loss)
+            history.train_accuracy.append(correct / n)
+            history.lr.append(optimizer.lr)
+            # Pre-clip gradient norm: batch mean under clipping, else the
+            # final batch's norm (the gradients are still in place).
+            if batch_norms:
+                history.grad_norm.append(float(np.mean(batch_norms)))
+            else:
+                history.grad_norm.append(global_grad_norm(network.parameters()))
+            if validation is not None:
+                val_x, val_y = validation
+                val_pred = predict_labels(network, val_x, self.batch_size)
+                history.val_accuracy.append(
+                    float(np.mean(val_pred == check_labels(val_y)))
                 )
-                if checkpoint_cb is not None:
-                    checkpoint_cb(
-                        epoch,
-                        self._snapshot(
-                            epoch, network, optimizer, scheduler, rng, history
-                        ),
-                    )
-                faults.check("epoch", epoch)
-                if stop:
-                    break
-        finally:
-            if sampler is not None:
-                sampler.stop()
-                publish_resources()
+            scheduler.step(epoch_loss)
+            # lr is passed explicitly: the telemetry event reports the
+            # rate *after* any ReduceLROnPlateau decay.
+            telemetry(epoch, history, lr=optimizer.lr)
+            if epoch_callback is not None:
+                epoch_callback(epoch, history)
+            # The stop decision is made *before* the checkpoint so the
+            # early-stopping counters inside the snapshot are exactly
+            # those of an uninterrupted run at this boundary.
+            stop = self.early_stopping is not None and self.early_stopping.should_stop(
+                history
+            )
+            if checkpoint_cb is not None:
+                checkpoint_cb(
+                    epoch,
+                    self._snapshot(
+                        epoch, network, optimizer, scheduler, rng, history
+                    ),
+                )
+            faults.check("epoch", epoch)
+            if stop:
+                break
         return history
 
     def _snapshot(

@@ -89,6 +89,12 @@ REQUEST_SECONDS_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
 
 _TRACES_PREFIX = "/v1/traces/"
 
+#: Seconds a connection may sit idle, or stall mid-request, before its
+#: handler gives up on it.  A stalled body is answered 408 and closed;
+#: stalled headers or an idle keep-alive connection are closed, which
+#: ``ServeClient`` answers by reconnecting.
+CONNECTION_TIMEOUT_S = 60.0
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -421,6 +427,9 @@ def _make_handler(server: "ReproServer") -> type[BaseHTTPRequestHandler]:
         # client's request can sit in Nagle's buffer until the peer's
         # delayed ACK fires (~40 ms), which dwarfs a small forward pass.
         disable_nagle_algorithm = True
+        # StreamRequestHandler.setup() applies it to the socket, so no
+        # read or write can hold a handler thread forever.
+        timeout = CONNECTION_TIMEOUT_S
         app = server
 
         # Structured access-log events (emitted per response in
@@ -601,8 +610,24 @@ def _make_handler(server: "ReproServer") -> type[BaseHTTPRequestHandler]:
                     headers={"Connection": "close"},
                     trace_id=trace_id,
                 )
+            # A body that stalls or ends early leaves it unframed too.
             try:
                 raw = self.rfile.read(length)
+            except TimeoutError:
+                return self._send_json(
+                    408,
+                    {"error": f"request body not received in {self.timeout} s"},
+                    headers={"Connection": "close"},
+                    trace_id=trace_id,
+                )
+            if len(raw) < length:
+                return self._send_json(
+                    400,
+                    {"error": f"request body ended at byte {len(raw)} of {length}"},
+                    headers={"Connection": "close"},
+                    trace_id=trace_id,
+                )
+            try:
                 if self._content_type() == BINARY_CONTENT_TYPE:
                     graphs, model, timeout_s = parse_predict_request_binary(raw)
                 else:

@@ -7,16 +7,10 @@ fit (:mod:`repro.stream.fit`).  Design notes: ``docs/STREAMING.md``.
 """
 
 from repro.stream.fit import fit_stream
-from repro.stream.shards import (
-    EncodedShardStore,
-    StreamEncodedInputs,
-    make_spool_cache,
-    partition_bounds,
-)
+from repro.stream.shards import EncodedShardStore, make_spool_cache, partition_bounds
 
 __all__ = [
     "EncodedShardStore",
-    "StreamEncodedInputs",
     "make_spool_cache",
     "partition_bounds",
     "fit_stream",

@@ -2,8 +2,8 @@
 
 :func:`fit_stream` trains a :class:`~repro.core.model.DeepMapClassifier`
 on a :class:`~repro.datasets.streaming.StreamingGraphDataset` without
-ever materializing the full graph list or the full ``(n, w*r, m)``
-tensor.  It mirrors ``DeepMapClassifier.fit`` stage for stage:
+ever materializing the full graph list or the full encoding.  It
+mirrors ``DeepMapClassifier.fit`` stage for stage:
 
 1. **Vocabulary pass** — shards are regenerated from seeds and their
    vertex feature counts fed, shard by shard, to the same
@@ -13,12 +13,12 @@ tensor.  It mirrors ``DeepMapClassifier.fit`` stage for stage:
    batch-independent, integer totals are order-exact, and
    ``FeatureVocabulary.freeze`` sorts keys (insertion order never
    matters).  The same pass tracks ``max(g.n)`` for the encoder width.
-2. **Encode pass** — each shard's tensor is built once and spilled to
+2. **Encode pass** — each shard's encoding is built once and spilled to
    the feature-map cache (:class:`~repro.stream.shards.EncodedShardStore`);
    per-shard encodes equal slices of the full encode (the pipeline's
    documented chunk invariance).
-3. **Training** — the Trainer consumes a
-   :class:`~repro.stream.shards.StreamEncodedInputs`: identical RNG
+3. **Training** — the Trainer consumes the
+   :class:`~repro.stream.shards.EncodedShardStore` itself: identical RNG
    choreography (network init, then the trainer's shuffle seed drawn
    from the same stream), identical shuffle permutations, and
    ``take_rows`` gathers bitwise-equal batches, so weights, history and
@@ -26,8 +26,8 @@ tensor.  It mirrors ``DeepMapClassifier.fit`` stage for stage:
    ``tests/equivalence/test_stream_equiv.py`` asserts all of this.
 
 Peak RSS stays bounded by (LRU-resident shards + one batch + the CNN);
-the Trainer's streaming mode samples it into the ``resource_*`` obs
-gauges throughout.
+a background :class:`~repro.obs.resources.ResourceSampler` samples it
+into the ``resource_*`` obs gauges throughout training.
 """
 
 from __future__ import annotations
@@ -42,14 +42,15 @@ from repro.datasets.streaming import StreamingGraphDataset
 from repro.features.vertex_maps import cached_vertex_counts
 from repro.features.vocabulary import FeatureVocabulary
 from repro.nn.model import Trainer
-from repro.stream.shards import (
-    EncodedShardStore,
-    StreamEncodedInputs,
-    make_spool_cache,
-)
+from repro.obs.resources import ResourceSampler, publish_resources
+from repro.stream.shards import EncodedShardStore, make_spool_cache
 from repro.utils.rng import as_rng
 
 __all__ = ["fit_stream"]
+
+#: Seconds between background resource samples while training on a
+#: shard store (each epoch's telemetry samples as well).
+STREAM_RESOURCE_INTERVAL_S = 1.0
 
 
 def fit_stream(
@@ -124,7 +125,6 @@ def fit_stream(
                 cache=cache,
             )
             store.warm()
-            inputs = StreamEncodedInputs(store)
 
             # Training: identical RNG choreography to the materialized
             # ``DeepMapClassifier.fit`` (init rng, then the trainer's
@@ -143,15 +143,21 @@ def fit_stream(
                 epochs=model.epochs,
                 seed=rng.integers(0, 2**31 - 1),
             )
+            # Watch peak RSS while the epochs consume the store; the
+            # closing publish covers fits shorter than the interval.
+            sampler = ResourceSampler(
+                interval_s=STREAM_RESOURCE_INTERVAL_S, extra=store.gauges
+            )
             with obs.span(
                 "train",
                 epochs=model.epochs,
                 batch_size=model.batch_size,
                 streamed=True,
-            ):
+            ), sampler:
                 model.history_ = trainer.fit(
-                    model.network_, inputs, targets, epoch_callback=epoch_callback
+                    model.network_, store, targets, epoch_callback=epoch_callback
                 )
+            publish_resources()
     finally:
         if spool is not None:
             spool.cleanup()

@@ -1,25 +1,25 @@
 """Out-of-core encoded shards behind the two-tier feature-map cache.
 
 :class:`EncodedShardStore` turns a :class:`StreamingGraphDataset` plus a
-fitted vocabulary/encoder into a row-addressable tensor source:
+fitted vocabulary/encoder into a row-addressable CNN input source:
 
 * :meth:`warm` encodes every shard once — graphs are regenerated from
-  their seeds, vertex feature maps extracted, and the ``(k, w*r, m)``
-  tensor built by :class:`~repro.core.pipeline.DeepMapEncoder` — routing
+  their seeds, vertex feature maps extracted, and the shard's
+  :class:`~repro.core.pipeline.EncodedDataset` built — routing
   everything through a :class:`~repro.cache.FeatureMapCache` under the
   **unchanged** content-addressed key scheme (``counts``/``enc``
   namespaces, keyed by shard content).  The store records each shard's
-  ``enc`` key, which is all it needs to reload the tensor later.
-* :meth:`tensors` serves a shard by key: memory-LRU hit → the in-memory
-  payload; disk hit → a *memory-mapped* read-only view of the ``.npz``
+  ``enc`` key, which is all it needs to reload the encoding later.
+* :meth:`encoded` serves a shard by key: memory-LRU hit → the in-memory
+  payload; disk hit → *memory-mapped* read-only views of the ``.npz``
   entry (resident cost ≈ the pages a batch actually touches); evicted
   or corrupted entry → regenerate + re-encode the shard from seeds (a
   cache miss is never an error, exactly as everywhere else in the
   repo).
-* :class:`StreamEncodedInputs` is the duck-typed Trainer input: it
-  exposes ``shape`` and ``take_rows(idx)``, gathering arbitrary row
-  subsets by grouping indices per shard — bitwise-identical to fancy
-  indexing the fully materialized ``(n, w*r, m)`` tensor.
+* The store is itself the Trainer input: it exposes ``shape`` and
+  ``take_rows(idx)``, gathering arbitrary row subsets by grouping
+  indices per shard — bitwise-identical to ``take_rows`` on the fully
+  materialized encoding.
 
 Peak memory is therefore bounded by ``memory_items`` shard payloads
 (the cache's LRU tier) plus one mini-batch, independent of dataset
@@ -41,7 +41,6 @@ from repro.utils.validation import check_positive
 
 __all__ = [
     "EncodedShardStore",
-    "StreamEncodedInputs",
     "make_spool_cache",
     "partition_bounds",
 ]
@@ -66,7 +65,7 @@ def partition_bounds(n: int, num_parts: int, index: int) -> tuple[int, int]:
 #: Memory-LRU capacity (shard payloads) for a store-owned spool cache.
 #: Two is the sweet spot measured in benchmarks/bench_stream_pipeline.py:
 #: evicted payloads reload as mmap views (cheap), while a deeper LRU
-#: pins whole shard tensors resident for no throughput gain.
+#: pins whole shard payloads resident for no throughput gain.
 DEFAULT_RESIDENT_SHARDS = 2
 
 
@@ -83,7 +82,10 @@ def make_spool_cache(memory_items: int = DEFAULT_RESIDENT_SHARDS):
 
 
 class EncodedShardStore:
-    """Encoded ``(shard, w*r, m)`` tensors, cached and reloadable by key.
+    """Per-shard encodings, cached and reloadable by key.
+
+    Duck-types the Trainer's row-source protocol: ``shape`` (row counts)
+    and ``take_rows(idx)`` (mini-batch gathers).
 
     Parameters
     ----------
@@ -132,6 +134,7 @@ class EncodedShardStore:
         self.w = int(encoder.w)
         self.r = int(encoder.r)
         self.m = int(vocabulary.size)
+        self.shape = (self.n, self.w * self.r, self.m)
         self._keys: list[str | None] = [None] * self.num_shards
         self.reencodes = 0  # shards regenerated after a cache miss
 
@@ -145,7 +148,7 @@ class EncodedShardStore:
     def encode_shard(self, s: int) -> EncodedDataset:
         """Generate, featurize and encode shard ``s`` (cache-routed).
 
-        Records the shard's ``enc`` cache key so later :meth:`tensors`
+        Records the shard's ``enc`` cache key so later :meth:`encoded`
         calls can reload the payload without regenerating graphs.
         """
         start, stop = self._bounds(s)
@@ -163,7 +166,7 @@ class EncodedShardStore:
     def warm(self) -> "EncodedShardStore":
         """Encode every shard once, in order, on the caller's thread.
 
-        Tensors are *not* retained — they live in the cache tiers only.
+        Encodings are *not* retained — they live in the cache tiers only.
         """
         with obs.span(
             "stream_warm", shards=self.num_shards, shard_size=self.shard_size
@@ -173,18 +176,39 @@ class EncodedShardStore:
         return self
 
     # -- row access ------------------------------------------------------
-    def tensors(self, s: int) -> np.ndarray:
-        """The ``(k, w*r, m)`` tensor of shard ``s`` (cache-first)."""
+    def encoded(self, s: int) -> EncodedDataset:
+        """The encoding of shard ``s`` (cache-first)."""
         key = self._keys[s]
         if key is not None:
-            payload = self.cache.get(key, namespace="enc")
-            if payload is not None:
-                return payload["tensors"]
+            encoded = self.encoder.cached(key, self.cache)
+            if encoded is not None:
+                return encoded
         # Evicted from both tiers (or corrupted, or never warmed):
         # regenerate from seeds and re-encode — a miss, not an error.
         self.reencodes += 1
         obs.counter("stream_shard_reencodes_total").inc()
-        return self.encode_shard(s).tensors
+        return self.encode_shard(s)
+
+    def take_rows(self, idx: np.ndarray) -> np.ndarray:
+        """Dense CNN input of rows ``idx``, loading each touched shard once."""
+        idx = np.asarray(idx, dtype=np.int64)
+        out = np.empty((idx.size, self.shape[1], self.shape[2]), dtype=np.float64)
+        if idx.size == 0:
+            return out
+        shard_of = idx // self.shard_size
+        for s in np.unique(shard_of):
+            mask = shard_of == s
+            local = idx[mask] - int(s) * self.shard_size
+            out[mask] = self.encoded(int(s)).take_rows(local)
+        obs.counter("stream_rows_gathered_total").inc(int(idx.size))
+        return out
+
+    def gauges(self) -> dict:
+        """Live gauges for the resource sampler's ``extra`` hook."""
+        return {
+            "stream_resident_shard_payloads": float(len(self.cache)),
+            "stream_shard_reencodes": float(self.reencodes),
+        }
 
     def __repr__(self) -> str:
         return (
@@ -192,42 +216,3 @@ class EncodedShardStore:
             f"{self.shard_size}, w={self.w}, r={self.r}, m={self.m})"
         )
 
-
-class StreamEncodedInputs:
-    """Row-addressable encoded dataset backed by an :class:`EncodedShardStore`.
-
-    Duck-types the slice of the ndarray protocol the Trainer uses:
-    ``shape`` (for row counts) and ``take_rows(idx)`` (for mini-batch
-    gathers).  ``take_rows`` groups the requested rows by shard, loads
-    each touched shard once (memory LRU → mmap'd disk → regenerate) and
-    scatters rows into a fresh float64 batch — bitwise what
-    ``full_tensor[idx]`` returns, at ``O(batch + touched shards)``
-    memory instead of ``O(dataset)``.
-    """
-
-    def __init__(self, store: EncodedShardStore) -> None:
-        self.store = store
-        self.shape = (store.n, store.w * store.r, store.m)
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def take_rows(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        out = np.empty((idx.size, self.shape[1], self.shape[2]), dtype=np.float64)
-        if idx.size == 0:
-            return out
-        shard_of = idx // self.store.shard_size
-        for s in np.unique(shard_of):
-            mask = shard_of == s
-            block = self.store.tensors(int(s))
-            out[mask] = block[idx[mask] - int(s) * self.store.shard_size]
-        obs.counter("stream_rows_gathered_total").inc(int(idx.size))
-        return out
-
-    def gauges(self) -> dict:
-        """Live gauges for the resource sampler's ``extra`` hook."""
-        return {
-            "stream_resident_shard_payloads": float(len(self.store.cache)),
-            "stream_shard_reencodes": float(self.store.reencodes),
-        }

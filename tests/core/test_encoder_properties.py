@@ -8,12 +8,14 @@ from repro.core import DeepMapEncoder
 from repro.features import WLVertexFeatures, extract_vertex_feature_matrices
 
 from tests.conftest import random_graphs
+from tests.oracles.core import dense_input
 
 
 def _encode(graphs, r):
     matrices, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
     encoder = DeepMapEncoder(r=r).fit(graphs)
     return encoder.encode(graphs, matrices), matrices
+
 
 
 @given(
@@ -24,8 +26,8 @@ def _encode(graphs, r):
 def test_tensor_shape_and_finiteness(graphs, r):
     enc, _ = _encode(graphs, r)
     w = max(g.n for g in graphs)
-    assert enc.tensors.shape == (len(graphs), w * r, enc.m)
-    assert np.all(np.isfinite(enc.tensors))
+    assert dense_input(enc).shape == (len(graphs), w * r, enc.m)
+    assert np.all(np.isfinite(dense_input(enc)))
 
 
 @given(
@@ -50,7 +52,7 @@ def test_feature_mass_conserved(graphs, r):
     and every vertex appears at least once (in its own slot)."""
     enc, matrices = _encode(graphs, r)
     for gi, (g, mat) in enumerate(zip(graphs, matrices)):
-        tensor_sum = enc.tensors[gi].sum()
+        tensor_sum = dense_input(enc)[gi].sum()
         mass = mat.sum()
         assert tensor_sum <= r * mass + 1e-9
         if r == 1:
@@ -69,4 +71,4 @@ def test_encoding_independent_of_companions(graphs):
     encoder = DeepMapEncoder(r=2, w=w)
     full = encoder.encode(graphs, matrices)
     solo = encoder.encode(graphs[:1], matrices[:1])
-    assert np.allclose(full.tensors[0], solo.tensors[0])
+    assert np.allclose(dense_input(full)[0], dense_input(solo)[0])

@@ -7,6 +7,8 @@ from repro.core import DeepMapEncoder
 from repro.features import WLVertexFeatures, extract_vertex_feature_matrices
 from repro.graph import Graph, cycle_graph, path_graph, star_graph
 
+from tests.oracles.core import dense_input
+
 
 def _encode(graphs, r=3, ordering="eigenvector"):
     matrices, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
@@ -14,12 +16,13 @@ def _encode(graphs, r=3, ordering="eigenvector"):
     return encoder.encode(graphs, matrices), matrices
 
 
+
 class TestShapes:
     def test_tensor_shape(self):
         graphs = [cycle_graph(5), star_graph(7), path_graph(3)]
         enc, _ = _encode(graphs, r=3)
         assert enc.w == 7
-        assert enc.tensors.shape == (3, 7 * 3, enc.m)
+        assert dense_input(enc).shape == (3, 7 * 3, enc.m)
 
     def test_vertex_mask(self):
         graphs = [path_graph(3), path_graph(5)]
@@ -31,7 +34,7 @@ class TestShapes:
         graphs = [path_graph(3)]
         matrices, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
         enc = DeepMapEncoder(r=2, w=10).encode(graphs, matrices)
-        assert enc.tensors.shape[1] == 20
+        assert dense_input(enc).shape[1] == 20
 
     def test_larger_graph_truncated_to_w(self):
         train = [path_graph(4)]
@@ -41,7 +44,7 @@ class TestShapes:
         counts = WLVertexFeatures(h=1).extract(big)
         big_matrices = [vocab.vectorize_rows(counts[0])]
         enc = encoder.encode(big, big_matrices)
-        assert enc.tensors.shape[1] == 4 * 2
+        assert dense_input(enc).shape[1] == 4 * 2
 
 
 class TestDummyZeroProperty:
@@ -49,14 +52,14 @@ class TestDummyZeroProperty:
         graphs = [path_graph(2), path_graph(6)]
         enc, _ = _encode(graphs, r=3)
         # Graph 0 has 2 vertices; slots 2..5 must be all-zero.
-        padding = enc.tensors[0, 2 * 3 :, :]
+        padding = dense_input(enc)[0, 2 * 3 :, :]
         assert np.allclose(padding, 0.0)
 
     def test_unfilled_field_rows_zero(self):
         graphs = [path_graph(2)]
         enc, _ = _encode(graphs, r=4)
         # Each vertex's field has 2 real slots and 2 dummy rows.
-        slot0 = enc.tensors[0, :4, :]
+        slot0 = dense_input(enc)[0, :4, :]
         assert np.allclose(slot0[2:], 0.0)
         assert not np.allclose(slot0[:2], 0.0)
 
@@ -79,7 +82,7 @@ class TestTheorem1:
         enc = DeepMapEncoder(r=3, ordering=ordering).fit([g, h]).encode(
             [g, h], matrices
         )
-        assert np.allclose(enc.tensors[0], enc.tensors[1])
+        assert np.allclose(dense_input(enc)[0], dense_input(enc)[1])
 
     def test_cycle_summed_maps_equal(self):
         """Even with ties (vertex-transitive cycle), the *summed* deep map
@@ -90,8 +93,31 @@ class TestTheorem1:
         enc = DeepMapEncoder(r=3).fit([g, h]).encode([g, h], matrices)
         # Sum over positions = readout input after identical convolutions.
         assert np.allclose(
-            enc.tensors[0].sum(axis=0), enc.tensors[1].sum(axis=0)
+            dense_input(enc)[0].sum(axis=0), dense_input(enc)[1].sum(axis=0)
         )
+
+
+class TestMemory:
+    def test_encode_peak_stays_below_the_dense_tensor(self):
+        """The encoding stores feature rows once plus an index table; it
+        never allocates the padded ``(n, w * r, m)`` float64 tensor."""
+        import tracemalloc
+
+        from repro.datasets import make_dataset
+
+        graphs = make_dataset("IMDB-BINARY", scale=0.03, seed=0).graphs
+        matrices, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=2))
+        encoder = DeepMapEncoder(r=3).fit(graphs)
+        n, w, r, m = len(graphs), encoder.w, encoder.r, matrices[0].shape[1]
+        assert min(g.n for g in graphs) < w  # padded batch
+        tracemalloc.start()
+        try:
+            encoded = encoder.encode(graphs, matrices)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert encoded.shape == (n, w * r, m)
+        assert peak < n * w * r * m * 8
 
 
 class TestValidation:
@@ -129,7 +155,7 @@ class TestInstrumentation:
         finally:
             obs.disable()
             obs.reset()
-        np.testing.assert_array_equal(enc_off.tensors, enc_on.tensors)
+        np.testing.assert_array_equal(dense_input(enc_off), dense_input(enc_on))
         np.testing.assert_array_equal(enc_off.vertex_mask, enc_on.vertex_mask)
 
     def test_stage_spans_recorded(self):

@@ -122,13 +122,15 @@ class TestMatchesVertexSequence:
 
     def test_occlusion_scores(self, graph_model):
         for g in _held_out():
+            # Oracle: zero the slot's rows of the dense input tensor.
             encoded = graph_model.encode([g])
-            base = predict_logits(graph_model.network_, encoded.tensors)[0]
+            dense = encoded.take_rows(np.arange(1))
+            base = predict_logits(graph_model.network_, dense)[0]
             cls = int(np.argmax(base))
             want = np.zeros(g.n)
             r = encoded.r
             for slot, v in enumerate(_sequences([g], encoded.w)[0]):
-                occluded = encoded.tensors.copy()
+                occluded = dense.copy()
                 occluded[0, slot * r : (slot + 1) * r] = 0.0
                 want[v] = base[cls] - predict_logits(graph_model.network_, occluded)[0][cls]
             assert occlusion_scores(graph_model, g).tobytes() == want.tobytes()
@@ -136,7 +138,9 @@ class TestMatchesVertexSequence:
     def test_vertex_model_outputs(self, vertex_model):
         graphs = _held_out()
         encoded = vertex_model._encode(graphs, fit=False)
-        logits = vertex_model.network_.forward(encoded.tensors, training=False)
+        logits = vertex_model.network_.forward(
+            encoded.take_rows(np.arange(len(graphs))), training=False
+        )
         probs = softmax(logits)
         got_labels = vertex_model.predict(graphs)
         got_probs = vertex_model.predict_proba(graphs)

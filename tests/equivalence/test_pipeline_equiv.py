@@ -1,4 +1,4 @@
-"""Encoder tensor assembly vs the per-slot reference, end to end.
+"""Encoder row gathers vs the per-slot dense reference, end to end.
 
 Also pins the encoder output for a fixed 3-graph dataset to digests
 captured across PRs — a cross-session guarantee about which parts of the
@@ -43,6 +43,7 @@ from tests.oracles.core import (
     _assemble,
     _reference_assemble,
     _reference_encode_stages,
+    dense_input,
 )
 
 #: Encoder output digests for `_pinned_dataset()` with SP features and
@@ -78,6 +79,7 @@ def _encode_inputs(graphs, r, w):
     ]
     fields = [all_receptive_fields(g, r, s) for g, s in zip(graphs, scores)]
     return matrices, sequences, fields, vocab.size
+
 
 
 def _expected_slots(graphs, w):
@@ -173,7 +175,7 @@ class TestEncodeEndToEnd:
         w, m = encoder.w, matrices[0].shape[1]
         _, sequences, fields, _ = _encode_inputs(graphs, r, w)
         ref_t, ref_m = _reference_assemble(matrices, sequences, fields, w, r, m)
-        assert_bitwise_equal(encoded.tensors, ref_t, "tensors")
+        assert_bitwise_equal(dense_input(encoded), ref_t, "tensors")
         assert_bitwise_equal(encoded.vertex_mask, ref_m, "vertex_mask")
 
     @settings(max_examples=20)
@@ -190,7 +192,7 @@ class TestEncodeEndToEnd:
         ref_t, ref_m = _reference_encode_stages(
             graphs, matrices, w, r, matrices[0].shape[1]
         )
-        assert_bitwise_equal(encoded.tensors, ref_t, "tensors")
+        assert_bitwise_equal(dense_input(encoded), ref_t, "tensors")
         assert_bitwise_equal(encoded.vertex_mask, ref_m, "vertex_mask")
         assert_bitwise_equal(encoded.slots, _expected_slots(graphs, w), "slots")
 
@@ -202,7 +204,7 @@ class TestEncodeEndToEnd:
         ref_t, ref_m = _reference_encode_stages(
             graphs, matrices, encoder.w, 2, matrices[0].shape[1]
         )
-        assert_bitwise_equal(encoded.tensors, ref_t)
+        assert_bitwise_equal(dense_input(encoded), ref_t)
         assert_bitwise_equal(encoded.vertex_mask, ref_m)
 
     def test_pinned_sp_digests_unchanged(self):
@@ -214,7 +216,7 @@ class TestEncodeEndToEnd:
         assert vocab.size == PRE_PR_SP_VOCAB_SIZE
         encoded = DeepMapEncoder(r=3).fit(graphs).encode(graphs, matrices)
         tensor_digest = hashlib.blake2b(
-            encoded.tensors.tobytes(), digest_size=16
+            dense_input(encoded).tobytes(), digest_size=16
         ).hexdigest()
         mask_digest = hashlib.blake2b(
             encoded.vertex_mask.tobytes(), digest_size=16
@@ -231,7 +233,7 @@ class TestEncodeEndToEnd:
         assert vocab.size == WL_VOCAB_SIZE
         encoded = DeepMapEncoder(r=3).fit(graphs).encode(graphs, matrices)
         tensor_digest = hashlib.blake2b(
-            encoded.tensors.tobytes(), digest_size=16
+            dense_input(encoded).tobytes(), digest_size=16
         ).hexdigest()
         mask_digest = hashlib.blake2b(
             encoded.vertex_mask.tobytes(), digest_size=16
@@ -256,6 +258,55 @@ class TestEncodeEndToEnd:
         encoded = DeepMapEncoder(r=4).fit(graphs).encode(graphs, matrices)
         # Graph 2 has 4 vertices; w is 6, so slots 4..5 are dummy padding.
         w, r = encoded.w, encoded.r
-        pad = encoded.tensors[1, 4 * r :]
+        pad = dense_input(encoded)[1, 4 * r :]
         assert np.all(pad == 0.0)
         assert encoded.vertex_mask[1].tolist() == [1, 1, 1, 1, 0, 0]
+
+
+#: Degenerate shapes mixed into the row-table property below.
+_SPECIAL_GRAPHS = [
+    Graph(0, [], []),  # zero vertices: every slot is dummy
+    Graph(3, [], [1, 1, 1]),  # edgeless, every score tied
+    Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [0, 0, 0, 0]),  # C4 ties
+    Graph(6, [(0, 1), (1, 2), (3, 4)], [0, 0, 1, 2, 2, 0]),  # disconnected
+]
+
+
+class TestRowTable:
+    """``take_rows`` gathers exactly the dense tensor the oracle assembles."""
+
+    @settings(max_examples=40)
+    @given(
+        graph_batches(),
+        st.lists(st.sampled_from(_SPECIAL_GRAPHS), max_size=3),
+        st.integers(1, 4),
+        st.integers(-3, 3),
+        st.randoms(use_true_random=False),
+    )
+    def test_take_rows_equals_dense_oracle(self, graphs, special, r, extra_w, rnd):
+        graphs = graphs + special
+        rnd.shuffle(graphs)
+        w = max(1, max(g.n for g in graphs) + extra_w)
+        matrices, sequences, fields, m = _encode_inputs(graphs, r, w)
+        encoded = DeepMapEncoder(r=r, w=w).encode(graphs, matrices)
+        ref_t, ref_m = _assemble(matrices, sequences, fields, w, r, m)
+        n = len(graphs)
+        assert encoded.shape == ref_t.shape
+        assert encoded.rows.shape == (n, w * r)
+        assert np.all(encoded.features[-1] == 0.0)
+        everything = encoded.take_rows(np.arange(n))
+        assert_bitwise_equal(everything, ref_t, "take_rows(all)")
+        assert_bitwise_equal(encoded.vertex_mask, ref_m, "vertex_mask")
+        perm = np.array(rnd.sample(range(n), n), dtype=np.int64)
+        assert_bitwise_equal(
+            encoded.take_rows(perm), everything[perm], "take_rows(perm)"
+        )
+
+    def test_dummy_cells_point_at_the_zero_row(self):
+        graphs = _pinned_dataset()
+        matrices, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
+        encoded = DeepMapEncoder(r=4).fit(graphs).encode(graphs, matrices)
+        zero_row = len(encoded.features) - 1
+        assert zero_row == sum(g.n for g in graphs)
+        # Graph 2 has 4 vertices; w is 6, so slots 4..5 are dummy padding.
+        assert np.all(encoded.rows[1, 4 * encoded.r :] == zero_row)

@@ -23,9 +23,10 @@ from repro.features.vertex_maps import cached_vertex_counts
 from repro.features.vocabulary import FeatureVocabulary
 from repro.graph import Graph
 from repro.parallel import WORKERS_ENV
-from repro.stream import EncodedShardStore, StreamEncodedInputs, make_spool_cache
+from repro.stream import EncodedShardStore, make_spool_cache
 
 from tests.equivalence.conftest import assert_bitwise_equal, graph_batches
+from tests.oracles.core import dense_input
 from tests.stream.conftest import model_fingerprint
 
 pytestmark = pytest.mark.stream
@@ -144,7 +145,7 @@ def test_sharded_encode_equals_full_encode(graphs, shard_size):
         [max(g.n for g in graphs)]
     )
     matrices = [vocab.vectorize_rows(vc) for vc in counts]
-    full = encoder.encode(graphs, matrices).tensors
+    full = dense_input(encoder.encode(graphs, matrices))
 
     cache, spool = make_spool_cache()
     with spool:
@@ -153,12 +154,11 @@ def test_sharded_encode_equals_full_encode(graphs, shard_size):
             shard_size, cache=cache,
         )
         store.warm()
-        inputs = StreamEncodedInputs(store)
-        assert inputs.shape == full.shape
+        assert store.shape == full.shape
         idx = np.arange(len(graphs) - 1, -1, -1, dtype=np.int64)  # reversed
-        assert_bitwise_equal(inputs.take_rows(idx), full[idx], "gathered rows")
+        assert_bitwise_equal(store.take_rows(idx), full[idx], "gathered rows")
         assert_bitwise_equal(
-            inputs.take_rows(np.arange(len(graphs), dtype=np.int64)),
+            store.take_rows(np.arange(len(graphs), dtype=np.int64)),
             full,
             "in-order rows",
         )

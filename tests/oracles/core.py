@@ -1,4 +1,4 @@
-"""Encoder oracles: the staged, per-graph encode and the per-slot
+"""Encoder oracles: the staged, per-graph encode and the dense per-slot
 assembly behind :mod:`repro.core.pipeline`, and the per-vertex
 receptive-field stacking behind :mod:`repro.core.receptive_field`."""
 
@@ -100,3 +100,9 @@ def _reference_assemble(
             rows[real] = feats[field[real]]
             tensors[gi, slot * r : (slot + 1) * r] = rows
     return tensors, vertex_mask
+
+
+def dense_input(encoded) -> np.ndarray:
+    """Every graph's dense ``(w * r, m)`` CNN input, in graph order: what
+    :func:`_assemble` builds, gathered through ``take_rows``."""
+    return encoded.take_rows(np.arange(encoded.shape[0]))

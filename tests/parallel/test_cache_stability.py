@@ -41,6 +41,8 @@ from repro.features import (
 )
 from repro.graph import Graph
 
+from tests.oracles.core import dense_input
+
 #: Fingerprint of `_pinned_dataset()` captured at the seed commit.
 PRE_PR_DATASET_FP = "ec7333c5e7572cf6fb5de54118daeadd"
 
@@ -160,7 +162,7 @@ class TestPrePrEntriesStillHit:
         fresh = FeatureMapCache(cache_dir=tmp_path)  # disk tier only
         warm = DeepMapEncoder(r=3).fit(graphs).encode(graphs, matrices, cache=fresh)
         assert fresh.stats.disk_hits == 1
-        assert warm.tensors.tobytes() == cold.tensors.tobytes()
+        assert dense_input(warm).tobytes() == dense_input(cold).tobytes()
         assert warm.vertex_mask.tobytes() == cold.vertex_mask.tobytes()
         assert warm.slots.dtype == np.int64
         assert warm.slots.tobytes() == cold.slots.tobytes()
@@ -169,24 +171,35 @@ class TestPrePrEntriesStillHit:
         """An ``enc`` entry written before the slot table existed
         (``{tensors, vertex_mask}``) sits under the unchanged key: it is
         treated as a miss, recomputed bitwise, and overwritten."""
-        graphs = _pinned_dataset()
-        matrices, _ = extract_vertex_feature_matrices(
-            graphs, ShortestPathVertexFeatures()
-        )
-        want = DeepMapEncoder(r=3).fit(graphs).encode(graphs, matrices)
-        path = tmp_path / PRE_PR_SP_ENC_KEY[:2] / f"{PRE_PR_SP_ENC_KEY}.npz"
-        path.parent.mkdir(parents=True)
-        # Poisoned tensors: serving the stale entry would show.
-        np.savez(
-            path,
-            tensors=np.zeros_like(want.tensors),
-            vertex_mask=want.vertex_mask,
-        )
+        _assert_stale_enc_entry_is_recomputed(tmp_path, ["tensors", "vertex_mask"])
 
-        cache = FeatureMapCache(cache_dir=tmp_path)
-        got = DeepMapEncoder(r=3).fit(graphs).encode(graphs, matrices, cache=cache)
-        assert got.tensors.tobytes() == want.tensors.tobytes()
-        assert got.slots.tobytes() == want.slots.tobytes()
-        with np.load(path) as npz:
-            assert sorted(npz.files) == ["slots", "tensors"]
-            assert npz["tensors"].tobytes() == want.tensors.tobytes()
+    def test_enc_payload_without_rows_is_recomputed(self, tmp_path):
+        """An ``enc`` entry written before the row-index table existed
+        (``{tensors, slots}``, the dense tensor) is likewise a miss."""
+        _assert_stale_enc_entry_is_recomputed(tmp_path, ["tensors", "slots"])
+
+
+def _assert_stale_enc_entry_is_recomputed(tmp_path, stale_fields):
+    graphs = _pinned_dataset()
+    matrices, _ = extract_vertex_feature_matrices(graphs, ShortestPathVertexFeatures())
+    want = DeepMapEncoder(r=3).fit(graphs).encode(graphs, matrices)
+    path = tmp_path / PRE_PR_SP_ENC_KEY[:2] / f"{PRE_PR_SP_ENC_KEY}.npz"
+    path.parent.mkdir(parents=True)
+    # Poisoned arrays: serving the stale entry would show.
+    stale = {
+        "tensors": np.zeros(want.shape),
+        "vertex_mask": np.zeros_like(want.vertex_mask),
+        "slots": np.zeros_like(want.slots),
+    }
+    np.savez(path, **{name: stale[name] for name in stale_fields})
+
+    cache = FeatureMapCache(cache_dir=tmp_path)
+    got = DeepMapEncoder(r=3).fit(graphs).encode(graphs, matrices, cache=cache)
+    assert cache.stats.disk_hits == 1  # the stale entry was read, then rejected
+    assert dense_input(got).tobytes() == dense_input(want).tobytes()
+    assert got.slots.tobytes() == want.slots.tobytes()
+    with np.load(path) as npz:
+        assert sorted(npz.files) == ["features", "rows", "slots"]
+        assert npz["features"].tobytes() == want.features.tobytes()
+        assert npz["rows"].tobytes() == want.rows.tobytes()
+

@@ -31,14 +31,15 @@ def _encode_chunk(context, payload):
     chunk = graphs[lo:hi]
     matrices, _ = extract_vertex_feature_matrices(chunk, WLVertexFeatures(h=2))
     encoded = DeepMapEncoder(r=4).fit(chunk).encode(chunk, matrices)
+    tensors = encoded.take_rows(np.arange(len(chunk)))
     digest = hashlib.blake2b(
-        encoded.tensors.tobytes() + encoded.vertex_mask.tobytes(), digest_size=16
+        tensors.tobytes() + encoded.vertex_mask.tobytes(), digest_size=16
     ).hexdigest()
     return {
         "digest": digest,
-        "tensors": encoded.tensors,
+        "tensors": tensors,
         "mask": encoded.vertex_mask,
-        "shape": encoded.tensors.shape,
+        "shape": tensors.shape,
     }
 
 

@@ -23,6 +23,7 @@ from repro.obs.reqtrace import TRACE_HEADER
 from repro.cli import main
 from repro.serve import (
     MicroBatcher,
+    ModelRegistry,
     ReproServer,
     ServeClient,
     ServeClientError,
@@ -321,6 +322,93 @@ class TestContentLength:
             assert len(client.predict([triangle])) == 1
         finally:
             client.close()
+
+
+def handler_threads() -> set[threading.Thread]:
+    """Live per-connection handler threads of every server in-process."""
+    return {
+        t for t in threading.enumerate() if "process_request_thread" in t.name
+    }
+
+
+def read_until_close(sock: socket.socket, limit_s: float = 5.0) -> bytes:
+    """Everything the server sends until it closes (the socket times out
+    after ``limit_s`` if it never does)."""
+    sock.settimeout(limit_s)
+    data = b""
+    while chunk := sock.recv(65536):
+        data += chunk
+    return data
+
+
+class TestStalledConnections:
+    """A stalled or truncated request ends in a terminal response or a
+    close, and its handler thread exits: no request holds one forever."""
+
+    @pytest.fixture
+    def quick_server(self, model_path, monkeypatch):
+        from repro.serve import http as serve_http
+
+        monkeypatch.setattr(serve_http, "CONNECTION_TIMEOUT_S", 0.2)
+        registry = ModelRegistry()
+        registry.load(model_path)
+        server = ReproServer(registry, ServeConfig(port=0)).start()
+        yield server
+        server.stop()
+
+    def _exchange(self, server, head: bytes, body: bytes, half_close: bool):
+        """Send ``head + body``, optionally half-close, read to the close;
+        returns the raw reply after asserting the handler thread exited."""
+        before = handler_threads()
+        with socket.create_connection((server.host, server.port), 5.0) as sock:
+            sock.sendall(head + body)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+            reply = read_until_close(sock)
+        for thread in handler_threads() - before:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        return reply
+
+    @staticmethod
+    def _post_head(server, content_length: int) -> bytes:
+        return (
+            "POST /v1/predict HTTP/1.1\r\n"
+            f"Host: {server.host}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n\r\n"
+        ).encode()
+
+    @staticmethod
+    def _parse(reply: bytes) -> tuple[int, dict, bytes]:
+        head, _, body = reply.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode().split("\r\n")
+        return int(status_line.split()[1]), dict(l.split(": ", 1) for l in lines), body
+
+    def test_stalled_body_is_408_and_closes(self, quick_server):
+        internal = obs.counter("serve_internal_errors_total").value
+        reply = self._exchange(
+            quick_server, self._post_head(quick_server, 100), b'{"gra', False
+        )
+        status, headers, body = self._parse(reply)
+        assert status == 408
+        assert headers["Connection"] == "close"
+        assert body == reply[-int(headers["Content-Length"]) :]
+        assert "not received in" in json.loads(body)["error"]
+        assert obs.counter("serve_internal_errors_total").value == internal
+
+    def test_stalled_headers_close(self, quick_server):
+        head = f"POST /v1/predict HTTP/1.1\r\nHost: {quick_server.host}\r\n".encode()
+        assert self._exchange(quick_server, head, b"", False) == b""
+
+    def test_half_close_mid_body_is_400_and_closes(self, quick_server):
+        reply = self._exchange(
+            quick_server, self._post_head(quick_server, 100), b'{"gra', True
+        )
+        status, headers, body = self._parse(reply)
+        assert status == 400
+        assert headers["Connection"] == "close"
+        assert "ended at byte 5 of 100" in json.loads(body)["error"]
 
 
 class TestOverload:

@@ -1,4 +1,4 @@
-"""EncodedShardStore + StreamEncodedInputs vs the materialized tensor."""
+"""EncodedShardStore vs the materialized encoding."""
 
 from __future__ import annotations
 
@@ -11,12 +11,14 @@ from repro.core.pipeline import DeepMapEncoder
 from repro.datasets import make_dataset
 from repro.features.vertex_maps import cached_vertex_counts
 from repro.features.vocabulary import FeatureVocabulary
-from repro.stream import EncodedShardStore, StreamEncodedInputs, make_spool_cache
+from repro.stream import EncodedShardStore, make_spool_cache
+
+from tests.oracles.core import dense_input
 
 
 @pytest.fixture()
 def encoded_reference():
-    """The fully materialized pipeline: vocab, encoder, (n, w*r, m) tensor."""
+    """The fully materialized pipeline: vocab, encoder, (n, w*r, m) input."""
     eager = make_dataset("MUTAG", scale=0.03, seed=0)
     stream = make_dataset("MUTAG", scale=0.03, seed=0, stream=True)
     model = deepmap_wl(h=2, r=3, epochs=1, seed=0)
@@ -33,7 +35,7 @@ def encoded_reference():
         [max(g.n for g in eager.graphs)]
     )
     matrices = [vocab.vectorize_rows(vc) for vc in counts]
-    full = encoder.encode(eager.graphs, matrices).tensors
+    full = dense_input(encoder.encode(eager.graphs, matrices))
     return eager, stream, model, vocab, encoder, full
 
 
@@ -56,7 +58,7 @@ def test_shard_tensors_equal_slices_of_the_full_encode(
         for s in range(store.num_shards):
             start = s * shard_size
             stop = min(start + shard_size, store.n)
-            block = store.tensors(s)
+            block = dense_input(store.encoded(s))
             assert block.dtype == full.dtype
             assert block.tobytes() == full[start:stop].tobytes()
         assert store.reencodes == 0
@@ -67,17 +69,15 @@ def test_take_rows_matches_fancy_indexing_bitwise(encoded_reference):
     store, spool = make_store(stream, model, vocab, encoder, shard_size=4)
     with spool:
         store.warm()
-        inputs = StreamEncodedInputs(store)
-        assert inputs.shape == full.shape
-        assert len(inputs) == full.shape[0]
+        assert store.shape == full.shape
         rng = np.random.default_rng(0)
         for size in (1, 3, full.shape[0]):
             idx = rng.permutation(full.shape[0])[:size]
-            got = inputs.take_rows(idx)
+            got = store.take_rows(idx)
             want = full[idx]
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
-        empty = inputs.take_rows(np.array([], dtype=np.int64))
+        empty = store.take_rows(np.array([], dtype=np.int64))
         assert empty.shape == (0, full.shape[1], full.shape[2])
 
 
@@ -89,7 +89,7 @@ def test_cache_eviction_triggers_reencode_not_error(encoded_reference):
         # Wipe both tiers: every later read is a miss that regenerates
         # the shard from seeds — identical bytes, just slower.
         store.cache.clear()
-        block = store.tensors(0)
+        block = dense_input(store.encoded(0))
         assert block.tobytes() == full[:4].tobytes()
         assert store.reencodes == 1
 

@@ -104,7 +104,7 @@ def test_failing_shard_raises_out_of_fit_stream():
 @pytest.mark.slow
 def test_100x_scale_trains_with_bounded_rss():
     # The materialized suites cap out around scale 0.05 (40 MUTAG
-    # graphs, one resident (n, w*r, m) tensor).  Stream 100x that and
+    # graphs, one resident encoding).  Stream 100x that and
     # assert the working set never approaches what materializing would
     # need — the acceptance bound for the out-of-core pipeline.
     obs.reset()
