@@ -57,7 +57,7 @@ from repro.core.receptive_field import (
     all_receptive_fields_many,
 )
 from repro.datasets import make_dataset
-from repro.features import extract_vertex_feature_matrices
+from repro.features import FeatureTable, extract_vertex_feature_matrices
 from repro.features.vertex_maps import (
     ShortestPathVertexFeatures,
     WLVertexFeatures,
@@ -71,6 +71,7 @@ from tests.oracles.core import (
     _reference_encode_stages,
 )
 from tests.oracles.features import (
+    _reference_feature_matrices,
     _reference_sp_vertex_counts,
     _reference_wl_stable_colors,
 )
@@ -328,26 +329,23 @@ def test_fused_encode():
     print_header("Hot path: fused encode (alignment -> fields -> assemble)")
     graphs = _graphs()
     r = 10
-    matrices, _ = extract_vertex_feature_matrices(
-        graphs, ShortestPathVertexFeatures()
-    )
-    matrices = list(matrices)
+    table, _ = extract_vertex_feature_matrices(graphs, ShortestPathVertexFeatures())
+    matrices, vocab = _reference_feature_matrices(graphs, ShortestPathVertexFeatures())
     w = max(g.n for g in graphs)
-    m = matrices[0].shape[1]
+    m = vocab.size
 
     def vectorized():
         # The body of DeepMapEncoder.encode, minus cache/obs wrapping,
         # then take_rows of every graph: the dense tensor the reference
-        # assembles.
+        # assembles from dense per-graph matrices.
         scores = [centrality_scores(g, "eigenvector") for g in graphs]
         union = union_vertex_order(graphs, scores)
         slots = _slot_table(union, w)
         fields = all_receptive_fields_many(graphs, r, scores, union=union)
-        features = np.concatenate(
-            [*matrices, np.zeros((1, m))], axis=0, dtype=np.float64
-        )
-        rows = _field_rows(slots, fields, union, r, len(features) - 1)
-        encoded = EncodedDataset(features, rows, slots, w, r, m)
+        indptr = np.append(table.indptr, table.indptr[-1])
+        features = FeatureTable(indptr, table.indices, table.values, m)
+        rows = _field_rows(slots, fields, union, r, len(table))
+        encoded = EncodedDataset(features, rows, slots, w, r)
         return encoded.take_rows(np.arange(len(graphs))), encoded.vertex_mask
 
     def reference():

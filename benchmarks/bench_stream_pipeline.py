@@ -1,15 +1,15 @@
 """Streamed vs materialized training: throughput and peak memory.
 
 Runs the same ``deepmap-wl`` fit twice in fresh subprocesses — once
-materialized (``fit`` on the full graph list and one resident
-``(n, w*r, m)`` tensor), once streamed (``fit_stream`` regenerating
-shards from seeds, spilling encodes to a spool cache and memory-mapping
-them back per batch) — and records to
+materialized (``fit`` on the full graph list and one resident encoding:
+the sparse vertex feature table and its row-index table), once streamed
+(``fit_stream`` regenerating shards from seeds, spilling encodes to a
+spool cache and memory-mapping them back per batch) — and records to
 ``BENCH_stream.json`` in the repo root:
 
 * ``stream_throughput`` — streamed-over-materialized graphs/sec ratio
   (the ``speedup`` field the regression gate tracks).  Streaming
-  re-derives every graph from its seed and round-trips tensors through
+  re-derives every graph from its seed and round-trips encodings through
   the cache, all on the caller's thread, so the ratio sits well below
   1.0 (0.38 in ``BENCH_stream.json``); the gate's floor is 0.3.
 * ``stream_peak_rss`` — materialized-over-streamed peak-RSS *growth*
@@ -53,8 +53,9 @@ _ARTIFACT = "BENCH_stream.smoke.json" if SMOKE else "BENCH_stream.json"
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / _ARTIFACT
 
-#: Head-to-head configuration: big enough that the materialized tensor
-#: dominates the child's footprint, small enough to run both ways.
+#: Head-to-head configuration: big enough that the materialized fit's
+#: resident data dominates the child's footprint, small enough to run
+#: both ways.
 _SCALE = 0.03 if SMOKE else 5.0
 _EPOCHS = 1 if SMOKE else 2
 _SHARD_SIZE = 4 if SMOKE else 64
@@ -63,7 +64,7 @@ _SUSTAINED_SCALE = 44.0
 
 #: Absolute acceptance floors (gated by check_bench_regression.py):
 #: streaming may cost at most ~3x throughput (it regenerates graphs per
-#: pass and round-trips tensors through the cache) and must cut peak
+#: pass and round-trips encodings through the cache) and must cut peak
 #: RSS growth by at least 2x at the head-to-head scale.
 STAGE_FLOORS = {"stream_throughput": 0.3, "stream_peak_rss": 2.0}
 

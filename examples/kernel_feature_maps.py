@@ -65,12 +65,13 @@ def equation7() -> None:
     print("\n=== Definition 3 + Equation 7 ===")
     g = cycle_graph(6).with_labels([0, 1, 0, 1, 0, 1])
     extractor = WLVertexFeatures(h=1)
-    matrices, vocab = extract_vertex_feature_matrices([g], extractor)
+    table, vocab = extract_vertex_feature_matrices([g], extractor)
+    vertex_maps = table.dense(np.arange(g.n))
     phi, _ = graph_feature_maps([g], extractor)
-    print(f"  vertex feature maps: {matrices[0].shape} "
+    print(f"  vertex feature maps: {vertex_maps.shape} "
           f"({vocab.size} subtree patterns)")
     print("  sum of vertex maps == graph map:",
-          bool(np.allclose(matrices[0].sum(axis=0), phi[0])))
+          bool(np.allclose(vertex_maps.sum(axis=0), phi[0])))
 
 
 def kernel_zoo() -> None:

@@ -55,10 +55,10 @@ def main() -> None:
     majority = max(test_t.mean(), 1 - test_t.mean())
 
     # 1. raw vertex feature maps (Definition 3)
-    matrices, vocab = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
-    raw_acc = linear_probe(
-        np.vstack(matrices[:split]), train_t, np.vstack(matrices[split:]), test_t
-    )
+    table, vocab = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
+    n_train = sum(g.n for g in graphs[:split])  # rows are in graph order
+    raw = table.dense(np.arange(len(table)))
+    raw_acc = linear_probe(raw[:n_train], train_t, raw[n_train:], test_t)
     print(f"\nraw WL vertex feature maps ({vocab.size}-d): "
           f"probe accuracy {raw_acc:.3f} (majority {majority:.3f})")
 

@@ -4,7 +4,6 @@ from repro.baselines.common import (
     GNNBaseline,
     PaddedBatch,
     normalized_adjacency,
-    one_hot_label_features,
     pad_graph_batch,
 )
 from repro.baselines.dcnn import DCNNClassifier, DCNNNetwork, diffusion_features
@@ -19,7 +18,6 @@ __all__ = [
     "GNNBaseline",
     "PaddedBatch",
     "pad_graph_batch",
-    "one_hot_label_features",
     "normalized_adjacency",
     "GINClassifier",
     "GINNetwork",

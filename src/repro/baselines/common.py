@@ -8,18 +8,23 @@ vertices; readouts apply the mask explicitly.
 
 Two input featurisations exist, matching the paper's Tables 3 and 4:
 
-* :func:`one_hot_label_features` — "the inputs to DGCNN and GIN are the
-  one-hot encodings of vertex labels" (Table 3);
+* :class:`~repro.features.OneHotLabelFeatures` — "the inputs to DGCNN and
+  GIN are the one-hot encodings of vertex labels" (Table 3);
 * the vertex feature maps of :mod:`repro.features` (Table 4, "other GNNs
   with the same input of vertex feature maps").
+
+Both go through one vocabulary fit and one sparse feature table; each
+graph's dense ``(n, d)`` input is cut from that table one graph at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
+from repro.features.vertex_maps import OneHotLabelFeatures
 from repro.features.vocabulary import FeatureVocabulary
 from repro.graph.graph import Graph
 from repro.nn.model import History, Trainer, predict_labels
@@ -29,7 +34,6 @@ from repro.utils.validation import check_fitted, check_labels
 __all__ = [
     "PaddedBatch",
     "pad_graph_batch",
-    "one_hot_label_features",
     "normalized_adjacency",
     "GNNBaseline",
 ]
@@ -84,30 +88,6 @@ def pad_graph_batch(
     return PaddedBatch(features=feats, adjacency=adj, mask=mask)
 
 
-def one_hot_label_features(
-    graphs: list[Graph], vocabulary: FeatureVocabulary | None = None
-) -> tuple[list[np.ndarray], FeatureVocabulary]:
-    """One-hot encodings of vertex labels (the GNN papers' input).
-
-    Pass a frozen ``vocabulary`` to encode held-out graphs in the training
-    label space (unknown labels become zero rows).
-    """
-    if vocabulary is None:
-        vocabulary = FeatureVocabulary()
-        for g in graphs:
-            vocabulary.add_all(int(l) for l in g.labels)
-        vocabulary.freeze()
-    matrices = []
-    for g in graphs:
-        mat = np.zeros((g.n, vocabulary.size), dtype=np.float64)
-        for v in range(g.n):
-            key = int(g.labels[v])
-            if key in vocabulary:
-                mat[v, vocabulary.index(key)] = 1.0
-        matrices.append(mat)
-    return matrices, vocabulary
-
-
 def normalized_adjacency(adjacency: np.ndarray, add_self_loops: bool = True) -> np.ndarray:
     """Row-normalised (batched) adjacency ``D^-1 (A + I)`` respecting padding.
 
@@ -150,25 +130,23 @@ class GNNBaseline:
         self.vocabulary_: FeatureVocabulary | None = None
 
     def _featurize(self, graphs: list[Graph], fit: bool) -> list[np.ndarray]:
-        """Vertex input features: one-hot labels or vertex feature maps.
+        """Per-graph dense vertex inputs: one-hot labels or feature maps.
 
         ``features="onehot"`` reproduces the GNN papers' input (Table 3);
         passing a :class:`~repro.features.VertexFeatureExtractor` feeds the
-        baselines DeepMap's vertex feature maps (Table 4).
+        baselines DeepMap's vertex feature maps (Table 4).  Held-out
+        graphs embed in the training vocabulary; unseen keys (labels)
+        give zero entries.
         """
-        if self.features == "onehot":
-            matrices, vocab = one_hot_label_features(
-                graphs, None if fit else self.vocabulary_
-            )
-            if fit:
-                self.vocabulary_ = vocab
-            return matrices
-        counts = self.features.extract(graphs)
+        onehot = self.features == "onehot"
+        counts = (OneHotLabelFeatures() if onehot else self.features).extract(graphs)
         if fit:
             self.vocabulary_ = FeatureVocabulary.from_counts(counts)
         check_fitted(self, "vocabulary_")
         assert self.vocabulary_ is not None
-        return [self.vocabulary_.vectorize_rows(vc) for vc in counts]
+        table = self.vocabulary_.vectorize_rows(chain.from_iterable(counts))
+        bounds = np.cumsum([0] + [g.n for g in graphs])
+        return [table.dense(np.arange(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
     # Subclass hooks ----------------------------------------------------
     def _prepare(self, graphs: list[Graph], fit: bool):

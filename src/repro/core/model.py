@@ -8,6 +8,8 @@ three named variants of the paper are the factory helpers
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro import obs
@@ -20,7 +22,7 @@ from repro.features.vertex_maps import (
     WLVertexFeatures,
     cached_vertex_counts,
 )
-from repro.features.vocabulary import FeatureVocabulary
+from repro.features.vocabulary import FeatureTable, FeatureVocabulary
 from repro.graph.graph import Graph
 from repro.nn.model import History, Trainer, predict_labels, predict_proba
 from repro.utils.rng import as_rng
@@ -105,36 +107,29 @@ class DeepMapClassifier:
         self.history_: History | None = None
 
     # ------------------------------------------------------------------
-    def _feature_matrices(
-        self, graphs: list[Graph], fit_vocabulary: bool
-    ) -> list[np.ndarray]:
+    def _feature_table(self, graphs: list[Graph], fit_vocabulary: bool) -> FeatureTable:
         with obs.span(
             "feature_map", extractor=self.extractor.name, graphs=len(graphs)
         ):
-            return self._feature_matrices_inner(graphs, fit_vocabulary)
-
-    def _feature_matrices_inner(
-        self, graphs: list[Graph], fit_vocabulary: bool
-    ) -> list[np.ndarray]:
-        with obs.span("extract"):
-            counts = cached_vertex_counts(self.extractor, graphs, cache=self.cache)
-        if fit_vocabulary:
-            self.vocabulary_ = FeatureVocabulary.from_counts(
-                counts, self.max_features
-            )
-        assert self.vocabulary_ is not None
-        with obs.span("vectorize", m=self.vocabulary_.size):
-            return [self.vocabulary_.vectorize_rows(vc) for vc in counts]
+            with obs.span("extract"):
+                counts = cached_vertex_counts(self.extractor, graphs, cache=self.cache)
+            if fit_vocabulary:
+                self.vocabulary_ = FeatureVocabulary.from_counts(
+                    counts, self.max_features
+                )
+            assert self.vocabulary_ is not None
+            with obs.span("vectorize", m=self.vocabulary_.size):
+                return self.vocabulary_.vectorize_rows(chain.from_iterable(counts))
 
     def encode(self, graphs: list[Graph], fit: bool = False):
         """Vertex feature maps -> Algorithm 1 encoding of ``graphs``."""
         if not fit:
             check_fitted(self, "encoder_")
-        matrices = self._feature_matrices(graphs, fit_vocabulary=fit)
+        table = self._feature_table(graphs, fit_vocabulary=fit)
         if fit:
             self.encoder_ = DeepMapEncoder(r=self.r, ordering=self.ordering).fit(graphs)
         assert self.encoder_ is not None
-        return self.encoder_.encode(graphs, matrices, cache=self.cache)
+        return self.encoder_.encode(graphs, table, cache=self.cache)
 
     # ------------------------------------------------------------------
     def fit(

@@ -9,9 +9,10 @@ convolutions of :mod:`repro.core.architecture` — guarantees they never
 contribute to the deep feature map (the paper's dummy-vertex property).
 
 That input is a gather, so it is never stored: an
-:class:`EncodedDataset` holds each vertex feature row once and an
-``(n, w * r)`` row-index table into them, and ``take_rows`` builds one
-mini-batch's dense input on demand.  One shared lexsort over the
+:class:`EncodedDataset` holds each vertex feature row once, as one sparse
+:class:`~repro.features.vocabulary.FeatureTable`, and an ``(n, w * r)``
+row-index table into it; ``take_rows`` builds one mini-batch's dense
+input on demand.  One shared lexsort over the
 disjoint union of all graphs feeds both the alignment sequences and the
 receptive-field tie-breaking.  The staged per-graph encode and the dense
 per-slot assembly are test oracles in ``tests/oracles/core.py``;
@@ -32,6 +33,7 @@ from repro.core.alignment import (
     union_vertex_order,
 )
 from repro.core.receptive_field import DUMMY, all_receptive_fields_many
+from repro.features.vocabulary import FeatureTable
 from repro.graph.graph import Graph
 from repro.utils.validation import check_positive
 
@@ -45,9 +47,9 @@ class EncodedDataset:
     Attributes
     ----------
     features:
-        ``(total_vertices + 1, m)`` float64 vertex feature-map rows of
-        every graph, stacked in graph order, plus one trailing all-zero
-        row that every dummy cell points at.
+        Sparse vertex feature-map rows of every graph, stacked in graph
+        order, plus one trailing empty (all-zero) row that every dummy
+        cell points at: ``total_vertices + 1`` rows of width ``m``.
     rows:
         ``(n_graphs, w * r)`` intp table: cell ``[gi, slot * r + j]`` is
         the ``features`` row at position ``j`` of the receptive field of
@@ -57,16 +59,20 @@ class EncodedDataset:
         each sequence slot holds (centrality order), ``DUMMY`` (-1) for
         padding.  Every consumer that maps slot outputs back to vertices
         reads this table instead of re-ordering the graph.
-    w, r, m:
-        Sequence length, receptive-field size, feature dimension.
+    w, r:
+        Sequence length, receptive-field size.
     """
 
-    features: np.ndarray
+    features: FeatureTable
     rows: np.ndarray
     slots: np.ndarray
     w: int
     r: int
-    m: int
+
+    @property
+    def m(self) -> int:
+        """Feature dimension."""
+        return self.features.m
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -75,7 +81,7 @@ class EncodedDataset:
 
     def take_rows(self, idx: np.ndarray) -> np.ndarray:
         """Dense ``(len(idx), w * r, m)`` CNN input of graphs ``idx``."""
-        return self.features[self.rows[idx]]
+        return self.features.dense(self.rows[idx])
 
     @property
     def vertex_mask(self) -> np.ndarray:
@@ -145,14 +151,14 @@ class DeepMapEncoder:
             self.w = int(w)
         return self
 
-    def encode_key(
-        self, graphs: list[Graph], feature_matrices: list[np.ndarray]
-    ) -> str:
+    def encode_key(self, graphs: list[Graph], table: FeatureTable) -> str:
         """Content-addressed cache key of :meth:`encode`'s result.
 
-        Exposed so out-of-core consumers (the streaming shard store) can
-        re-load a previously encoded shard straight from the cache by
-        key — without regenerating the graphs the key was derived from.
+        Hashes the graphs, the feature table's CSR arrays and width, and
+        the encoder parameters ``(r, ordering, w)``.  Exposed so
+        out-of-core consumers (the streaming shard store) can re-load a
+        previously encoded shard straight from the cache by key —
+        without regenerating the graphs the key was derived from.
         """
         if self.w is None:
             raise ValueError("encoder is not fitted (w is None)")
@@ -161,65 +167,61 @@ class DeepMapEncoder:
         return cache_mod.cache_key(
             "enc",
             cache_mod.dataset_fingerprint(graphs),
-            cache_mod.stable_hash(list(feature_matrices)),
+            cache_mod.stable_hash(
+                [table.indptr, table.indices, table.values, table.m]
+            ),
             self.r,
             self.ordering,
             self.w,
         )
 
     def cached(self, key: str, cache) -> EncodedDataset | None:
-        """The encoding ``cache`` holds under ``key``, or ``None``.
-
-        A payload without ``rows`` predates the row-index table (it held
-        the dense tensor): it counts as a miss, so :meth:`encode`
-        recomputes and overwrites it under the same key.
-        """
+        """The encoding ``cache`` holds under ``key``, or ``None``."""
         payload = cache.get(key, namespace="enc")
-        if payload is None or "rows" not in payload:
+        if payload is None:
             return None
-        m = payload["features"].shape[1]
-        return EncodedDataset(**payload, w=self.w, r=self.r, m=m)
+        m = int(payload["m"][0])
+        features = FeatureTable(payload["indptr"], payload["indices"], payload["values"], m)
+        return EncodedDataset(features, payload["rows"], payload["slots"], self.w, self.r)
 
     def encode(
         self,
         graphs: list[Graph],
-        feature_matrices: list[np.ndarray],
+        table: FeatureTable,
         cache=None,
     ) -> EncodedDataset:
         """Encode ``graphs`` as a row-index table over their feature rows.
 
-        ``feature_matrices[i]`` must be the ``(graphs[i].n, m)`` vertex
-        feature-map matrix from
-        :func:`repro.features.extract_vertex_feature_matrices` (or the
-        vocabulary-aligned equivalent for held-out graphs).
+        ``table`` holds one vertex feature-map row per vertex of every
+        graph, stacked in graph order, as returned by
+        :func:`repro.features.extract_vertex_feature_matrices` (or
+        ``vocabulary.vectorize_rows`` for held-out graphs).
 
         When a feature-map cache is available (``cache`` argument or the
         process default), the encoding is memoized by graph content,
-        feature-matrix content, and the encoder parameters
+        feature-table content, and the encoder parameters
         ``(r, ordering, w)``; a warm hit returns bitwise-identical arrays
         without recomputing alignment or receptive fields.
         """
         if self.w is None:
             self.fit(graphs)
         assert self.w is not None
-        if len(graphs) != len(feature_matrices):
-            raise ValueError("graphs and feature matrices must align")
         if not graphs:
             raise ValueError("need at least one graph")
-        m = feature_matrices[0].shape[1]
+        total = sum(g.n for g in graphs)
+        if len(table) != total:
+            raise ValueError(
+                f"feature table of shape {(len(table), table.m)} does not "
+                f"align with the graphs' {total} vertices"
+            )
         n = len(graphs)
-        w, r = self.w, self.r
-        for gi, (g, feats) in enumerate(zip(graphs, feature_matrices)):
-            if feats.shape != (g.n, m):
-                raise ValueError(
-                    f"feature matrix {gi} has shape {feats.shape}, expected {(g.n, m)}"
-                )
+        w, r, m = self.w, self.r, table.m
         from repro import cache as cache_mod
 
         cache = cache if cache is not None else cache_mod.get_cache()
         key = None
         if cache is not None:
-            key = self.encode_key(graphs, feature_matrices)
+            key = self.encode_key(graphs, table)
             hit = self.cached(key, cache)
             if hit is not None:
                 return hit
@@ -236,17 +238,17 @@ class DeepMapEncoder:
                 all_fields = all_receptive_fields_many(
                     graphs, r, all_scores, union=union
                 )
-            # Stage 3: stack the feature rows and index every input cell.
+            # Stage 3: append the empty row and index every input cell.
             with obs.span("assemble"):
-                features = np.concatenate(
-                    [*feature_matrices, np.zeros((1, m))], axis=0, dtype=np.float64
-                )
-                rows = _field_rows(slots, all_fields, union, r, len(features) - 1)
+                indptr = np.append(table.indptr, table.indptr[-1])  # empty row
+                features = FeatureTable(indptr, table.indices, table.values, m)
+                rows = _field_rows(slots, all_fields, union, r, total)
             obs.counter("graphs_encoded_total").inc(n)
-        encoded = EncodedDataset(features, rows, slots, w, r, m)
+        encoded = EncodedDataset(features, rows, slots, w, r)
         if cache is not None and key is not None:
-            payload = {"features": features, "rows": rows, "slots": slots}
-            cache.put(key, payload, namespace="enc")
+            # Plain arrays only, so a disk hit maps back without a copy.
+            payload = {**vars(features), "m": np.array([m])}
+            cache.put(key, {**payload, "rows": rows, "slots": slots}, namespace="enc")
         return encoded
 
 

@@ -11,6 +11,8 @@ and a softmax — trained with a mask so padded slots contribute nothing.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro.core.architecture import DEFAULT_CHANNELS, conv_stack
@@ -82,8 +84,8 @@ class DeepMapVertexClassifier:
             self.encoder_ = DeepMapEncoder(r=self.r, ordering=self.ordering).fit(graphs)
         check_fitted(self, "vocabulary_")
         assert self.vocabulary_ is not None and self.encoder_ is not None
-        matrices = [self.vocabulary_.vectorize_rows(vc) for vc in counts]
-        return self.encoder_.encode(graphs, matrices)
+        table = self.vocabulary_.vectorize_rows(chain.from_iterable(counts))
+        return self.encoder_.encode(graphs, table)
 
     def _slot_targets(
         self, encoded: EncodedDataset, targets: list[np.ndarray]

@@ -26,12 +26,14 @@ for all three extractors.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro import obs
 from repro.cache import FeatureMapCache
 from repro.datasets.streaming import StreamingGraphDataset
-from repro.features.vertex_maps import cached_vertex_counts, sum_vertex_maps
+from repro.features.vertex_maps import cached_vertex_counts
 from repro.features.vocabulary import FeatureVocabulary
 from repro.kernels.base import ExplicitFeatureKernel
 from repro.stream import partition_bounds
@@ -98,5 +100,5 @@ def sharded_gram(
                 cached_vertex_counts(kernel.extractor, graphs, cache=cache)
             )
         vocab = FeatureVocabulary.from_counts(counts)
-        phi = sum_vertex_maps((vocab.vectorize_rows(vc) for vc in counts), vocab.size)
-        return kernel._assemble_gram(phi)
+        table = vocab.vectorize_rows(chain.from_iterable(counts))
+        return kernel._assemble_gram(table.segment_sums([len(vc) for vc in counts]))

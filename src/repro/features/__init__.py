@@ -14,13 +14,13 @@ from repro.features.vertex_maps import (
     cached_vertex_counts,
     extract_vertex_feature_matrices,
     graph_feature_maps,
-    wl_joint_refinement,
     wl_stable_colors,
     wl_stable_colors_many,
 )
-from repro.features.vocabulary import FeatureVocabulary
+from repro.features.vocabulary import FeatureTable, FeatureVocabulary
 
 __all__ = [
+    "FeatureTable",
     "FeatureVocabulary",
     "VertexFeatureExtractor",
     "GraphletVertexFeatures",
@@ -33,7 +33,6 @@ __all__ = [
     "cached_vertex_counts",
     "extract_vertex_feature_matrices",
     "graph_feature_maps",
-    "wl_joint_refinement",
     "wl_stable_colors",
     "wl_stable_colors_many",
 ]

@@ -17,20 +17,21 @@ dictionaries over a shared substructure vocabulary:
   the WL subtree kernel feature map (Equation 5).
 
 The module-level helper :func:`extract_vertex_feature_matrices` runs an
-extractor, freezes the vocabulary, and returns dense per-graph matrices —
-the ``X`` arrays consumed by Algorithm 1.
+extractor, fits the vocabulary, and returns every vertex's feature map as
+one sparse :class:`~repro.features.vocabulary.FeatureTable` in graph
+order — the rows Algorithm 1 gathers and Equation 7 sums.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import Counter
-from collections.abc import Iterable
+from itertools import chain
 
 import numpy as np
 
 from repro import obs
-from repro.features.vocabulary import FeatureVocabulary
+from repro.features.vocabulary import FeatureTable, FeatureVocabulary
 from repro.graph.graph import Graph
 from repro.graph.graphlets import count_graphlets_per_vertex
 from repro.graph.shortest_paths import apsp_bfs
@@ -367,37 +368,6 @@ def wl_stable_colors_many(graphs: list[Graph], h: int) -> list[list[list[int]]]:
     ]
 
 
-def wl_joint_refinement(graphs: list[Graph], h: int) -> list[list[np.ndarray]]:
-    """Dataset-wide WL refinement.
-
-    Returns ``colorings[i][g]`` = color array of graph ``g`` at iteration
-    ``i`` (``0 <= i <= h``), with colors drawn from one shared alphabet per
-    iteration.  Signature compression sorts the union of signatures so the
-    ids are independent of both vertex order and graph order.
-    """
-    # Iteration 0: compress raw labels over the union alphabet.
-    all_labels = sorted({int(l) for g in graphs for l in g.labels})
-    base = {lab: i for i, lab in enumerate(all_labels)}
-    current = [np.array([base[int(l)] for l in g.labels], dtype=np.int64) for g in graphs]
-    colorings = [current]
-    for _ in range(h):
-        signatures: list[list[tuple]] = []
-        union: set[tuple] = set()
-        for g, colors in zip(graphs, current):
-            sigs = []
-            for v in range(g.n):
-                sig = (int(colors[v]), tuple(sorted(int(colors[u]) for u in g.neighbors(v))))
-                sigs.append(sig)
-                union.add(sig)
-            signatures.append(sigs)
-        mapping = {sig: i for i, sig in enumerate(sorted(union))}
-        current = [
-            np.array([mapping[s] for s in sigs], dtype=np.int64) for sigs in signatures
-        ]
-        colorings.append(current)
-    return colorings
-
-
 def cached_vertex_counts(
     extractor: VertexFeatureExtractor,
     graphs: list[Graph],
@@ -435,14 +405,16 @@ def extract_vertex_feature_matrices(
     graphs: list[Graph],
     extractor: VertexFeatureExtractor,
     cache=None,
-) -> tuple[list[np.ndarray], FeatureVocabulary]:
-    """Run ``extractor`` and embed every vertex in a shared dense space.
+) -> tuple[FeatureTable, FeatureVocabulary]:
+    """Run ``extractor`` and embed every vertex in a shared feature space.
 
-    Returns ``(matrices, vocabulary)`` where ``matrices[i]`` has shape
-    ``(graphs[i].n, m)`` and ``m = len(vocabulary)``.  Extraction goes
-    through :func:`cached_vertex_counts`, so with a feature-map cache
-    configured (``cache`` argument or the process default) a warm hit
-    skips extraction and returns bitwise-identical arrays.
+    Returns ``(table, vocabulary)``: ``table`` holds one row per vertex
+    of every graph, stacked in graph order (graph ``i``'s rows follow
+    those of graphs ``0..i-1``), with ``table.m == len(vocabulary)``.
+    Extraction goes through :func:`cached_vertex_counts`, so with a
+    feature-map cache configured (``cache`` argument or the process
+    default) a warm hit skips extraction and returns bitwise-identical
+    arrays.
     """
     with obs.span("feature_map", extractor=extractor.name, graphs=len(graphs)):
         with obs.span("extract"):
@@ -450,8 +422,8 @@ def extract_vertex_feature_matrices(
         with obs.span("vocabulary"):
             vocab = FeatureVocabulary.from_counts(per_graph_counts)
         with obs.span("vectorize", m=vocab.size):
-            matrices = [vocab.vectorize_rows(vc) for vc in per_graph_counts]
-    return matrices, vocab
+            table = vocab.vectorize_rows(chain.from_iterable(per_graph_counts))
+    return table, vocab
 
 
 def graph_feature_maps(
@@ -464,15 +436,5 @@ def graph_feature_maps(
     This is exactly the explicit feature map of the corresponding
     R-convolution kernel.
     """
-    matrices, vocab = extract_vertex_feature_matrices(graphs, extractor)
-    return sum_vertex_maps(matrices, vocab.size), vocab
-
-
-def sum_vertex_maps(matrices: Iterable[np.ndarray], m: int) -> np.ndarray:
-    """Stack one graph feature map per ``(n_i, m)`` vertex-map matrix.
-
-    Each row is the sum of that graph's vertex maps (Equation 7); a graph
-    with no vertices maps to zeros.  ``matrices`` may be a generator, so
-    only one dense matrix needs to be alive at a time.
-    """
-    return np.stack([x.sum(axis=0) if x.size else np.zeros(m) for x in matrices])
+    table, vocab = extract_vertex_feature_matrices(graphs, extractor)
+    return table.segment_sums([g.n for g in graphs]), vocab

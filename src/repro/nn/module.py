@@ -35,7 +35,9 @@ class Parameter:
 
     def __init__(self, value: np.ndarray, name: str = "param") -> None:
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        # np.zeros, not zeros_like: its pages stay untouched until the
+        # first backward pass, so inference never pays for a gradient.
+        self.grad = np.zeros(self.value.shape)
         self.name = name
 
     @property
@@ -56,7 +58,7 @@ class Parameter:
             state = state[1]
         self.value = state["value"]
         self.name = state["name"]
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros(self.value.shape)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name}, shape={self.value.shape})"

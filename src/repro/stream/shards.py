@@ -29,6 +29,7 @@ size.
 from __future__ import annotations
 
 import tempfile
+from itertools import chain
 
 import numpy as np
 
@@ -157,9 +158,9 @@ class EncodedShardStore:
             counts = cached_vertex_counts(
                 self.extractor, shard.graphs, cache=self.cache
             )
-            matrices = [self.vocabulary.vectorize_rows(vc) for vc in counts]
-            self._keys[s] = self.encoder.encode_key(shard.graphs, matrices)
-            encoded = self.encoder.encode(shard.graphs, matrices, cache=self.cache)
+            table = self.vocabulary.vectorize_rows(chain.from_iterable(counts))
+            self._keys[s] = self.encoder.encode_key(shard.graphs, table)
+            encoded = self.encoder.encode(shard.graphs, table, cache=self.cache)
         obs.counter("stream_graphs_encoded_total").inc(stop - start)
         return encoded
 

@@ -9,12 +9,13 @@ from repro.features import WLVertexFeatures, extract_vertex_feature_matrices
 
 from tests.conftest import random_graphs
 from tests.oracles.core import dense_input
+from tests.oracles.features import graph_matrices
 
 
 def _encode(graphs, r):
-    matrices, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
+    table, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
     encoder = DeepMapEncoder(r=r).fit(graphs)
-    return encoder.encode(graphs, matrices), matrices
+    return encoder.encode(graphs, table), graph_matrices(table, graphs)
 
 
 
@@ -66,9 +67,10 @@ def test_feature_mass_conserved(graphs, r):
 @settings(max_examples=15, deadline=None)
 def test_encoding_independent_of_companions(graphs):
     """A graph's slice depends only on itself (given fixed w and vocab)."""
-    matrices, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
+    extractor = WLVertexFeatures(h=1)
+    table, vocab = extract_vertex_feature_matrices(graphs, extractor)
     w = max(g.n for g in graphs)
     encoder = DeepMapEncoder(r=2, w=w)
-    full = encoder.encode(graphs, matrices)
-    solo = encoder.encode(graphs[:1], matrices[:1])
+    full = encoder.encode(graphs, table)
+    solo = encoder.encode(graphs[:1], vocab.vectorize_rows(extractor.extract(graphs[:1])[0]))
     assert np.allclose(dense_input(full)[0], dense_input(solo)[0])

@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from repro.core import DeepMapEncoder
-from repro.features import WLVertexFeatures, extract_vertex_feature_matrices
+from repro.features import (
+    FeatureTable,
+    FeatureVocabulary,
+    WLVertexFeatures,
+    extract_vertex_feature_matrices,
+)
 from repro.graph import Graph, cycle_graph, path_graph, star_graph
 
 from tests.oracles.core import dense_input
 
 
 def _encode(graphs, r=3, ordering="eigenvector"):
-    matrices, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
+    table, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
     encoder = DeepMapEncoder(r=r, ordering=ordering).fit(graphs)
-    return encoder.encode(graphs, matrices), matrices
+    return encoder.encode(graphs, table), table
 
 
 
@@ -32,18 +37,18 @@ class TestShapes:
 
     def test_explicit_w(self):
         graphs = [path_graph(3)]
-        matrices, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
-        enc = DeepMapEncoder(r=2, w=10).encode(graphs, matrices)
+        table, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
+        enc = DeepMapEncoder(r=2, w=10).encode(graphs, table)
         assert dense_input(enc).shape[1] == 20
 
     def test_larger_graph_truncated_to_w(self):
         train = [path_graph(4)]
-        matrices, vocab = extract_vertex_feature_matrices(train, WLVertexFeatures(h=1))
+        _, vocab = extract_vertex_feature_matrices(train, WLVertexFeatures(h=1))
         encoder = DeepMapEncoder(r=2).fit(train)
         big = [path_graph(9)]
         counts = WLVertexFeatures(h=1).extract(big)
-        big_matrices = [vocab.vectorize_rows(counts[0])]
-        enc = encoder.encode(big, big_matrices)
+        big_table = vocab.vectorize_rows(counts[0])
+        enc = encoder.encode(big, big_table)
         assert dense_input(enc).shape[1] == 4 * 2
 
 
@@ -78,9 +83,9 @@ class TestTheorem1:
         )
         perm = [5, 3, 1, 0, 2, 4]
         h = g.relabel_vertices(perm)
-        matrices, _ = extract_vertex_feature_matrices([g, h], WLVertexFeatures(h=2))
+        table, _ = extract_vertex_feature_matrices([g, h], WLVertexFeatures(h=2))
         enc = DeepMapEncoder(r=3, ordering=ordering).fit([g, h]).encode(
-            [g, h], matrices
+            [g, h], table
         )
         assert np.allclose(dense_input(enc)[0], dense_input(enc)[1])
 
@@ -89,8 +94,8 @@ class TestTheorem1:
         input is permutation invariant."""
         g = cycle_graph(6).with_labels([0, 1, 0, 1, 0, 1])
         h = g.relabel_vertices([2, 3, 4, 5, 0, 1])
-        matrices, _ = extract_vertex_feature_matrices([g, h], WLVertexFeatures(h=2))
-        enc = DeepMapEncoder(r=3).fit([g, h]).encode([g, h], matrices)
+        table, _ = extract_vertex_feature_matrices([g, h], WLVertexFeatures(h=2))
+        enc = DeepMapEncoder(r=3).fit([g, h]).encode([g, h], table)
         # Sum over positions = readout input after identical convolutions.
         assert np.allclose(
             dense_input(enc)[0].sum(axis=0), dense_input(enc)[1].sum(axis=0)
@@ -99,37 +104,44 @@ class TestTheorem1:
 
 class TestMemory:
     def test_encode_peak_stays_below_the_dense_tensor(self):
-        """The encoding stores feature rows once plus an index table; it
-        never allocates the padded ``(n, w * r, m)`` float64 tensor."""
+        """The encoding stores sparse feature rows once plus an index
+        table; it never allocates the padded ``(n, w * r, m)`` float64
+        tensor, nor even the dense ``(total_vertices + 1, m)`` feature
+        table."""
         import tracemalloc
 
         from repro.datasets import make_dataset
 
         graphs = make_dataset("IMDB-BINARY", scale=0.03, seed=0).graphs
-        matrices, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=2))
+        table, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=2))
         encoder = DeepMapEncoder(r=3).fit(graphs)
-        n, w, r, m = len(graphs), encoder.w, encoder.r, matrices[0].shape[1]
+        n, w, r, m = len(graphs), encoder.w, encoder.r, table.m
         assert min(g.n for g in graphs) < w  # padded batch
         tracemalloc.start()
         try:
-            encoded = encoder.encode(graphs, matrices)
+            encoded = encoder.encode(graphs, table)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert encoded.shape == (n, w * r, m)
-        assert peak < n * w * r * m * 8
+        assert peak < (sum(g.n for g in graphs) + 1) * m * 8
 
 
 class TestValidation:
     def test_rejects_misaligned_inputs(self):
         graphs = [path_graph(3)]
         with pytest.raises(ValueError, match="align"):
-            DeepMapEncoder(r=2).fit(graphs).encode(graphs, [])
+            DeepMapEncoder(r=2).fit(graphs).encode(
+                graphs, FeatureVocabulary().vectorize_rows([])
+            )
 
     def test_rejects_wrong_matrix_shape(self):
         graphs = [path_graph(3)]
+        empty_rows = FeatureTable(
+            np.zeros(3, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), 4
+        )
         with pytest.raises(ValueError, match="shape"):
-            DeepMapEncoder(r=2).fit(graphs).encode(graphs, [np.zeros((2, 4))])
+            DeepMapEncoder(r=2).fit(graphs).encode(graphs, empty_rows)
 
     def test_rejects_empty_fit(self):
         with pytest.raises(ValueError):

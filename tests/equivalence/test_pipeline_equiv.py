@@ -45,6 +45,7 @@ from tests.oracles.core import (
     _reference_encode_stages,
     dense_input,
 )
+from tests.oracles.features import _reference_feature_matrices
 
 #: Encoder output digests for `_pinned_dataset()` with SP features and
 #: r=3, captured before the fused-encode PR.  SP features are untouched
@@ -71,8 +72,13 @@ def _pinned_dataset() -> list[Graph]:
     return [g1, g2, g3]
 
 
+def _table(graphs, h=1):
+    """The encoder's input: the sparse vertex feature table."""
+    return extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=h))[0]
+
+
 def _encode_inputs(graphs, r, w):
-    matrices, vocab = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
+    matrices, vocab = _reference_feature_matrices(graphs, WLVertexFeatures(h=1))
     scores = [centrality_scores(g, "eigenvector") for g in graphs]
     sequences = [
         vertex_sequence(g, s, "eigenvector")[:w] for g, s in zip(graphs, scores)
@@ -169,11 +175,10 @@ class TestEncodeEndToEnd:
     @settings(max_examples=20)
     @given(graph_batches(), st.integers(1, 4))
     def test_encode_equals_reference_composition(self, graphs, r):
-        matrices, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
         encoder = DeepMapEncoder(r=r).fit(graphs)
-        encoded = encoder.encode(graphs, matrices)
-        w, m = encoder.w, matrices[0].shape[1]
-        _, sequences, fields, _ = _encode_inputs(graphs, r, w)
+        encoded = encoder.encode(graphs, _table(graphs))
+        w = encoder.w
+        matrices, sequences, fields, m = _encode_inputs(graphs, r, w)
         ref_t, ref_m = _reference_assemble(matrices, sequences, fields, w, r, m)
         assert_bitwise_equal(dense_input(encoded), ref_t, "tensors")
         assert_bitwise_equal(encoded.vertex_mask, ref_m, "vertex_mask")
@@ -185,36 +190,32 @@ class TestEncodeEndToEnd:
         including dummy-padded sequence slots (w above every graph) and
         truncated sequences (graphs larger than w); the slot table is
         the per-graph vertex sequence."""
-        matrices, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
+        matrices, vocab = _reference_feature_matrices(graphs, WLVertexFeatures(h=1))
         w = max(1, max(g.n for g in graphs) + extra_w)
         encoder = DeepMapEncoder(r=r, w=w)
-        encoded = encoder.encode(graphs, matrices)
-        ref_t, ref_m = _reference_encode_stages(
-            graphs, matrices, w, r, matrices[0].shape[1]
-        )
+        encoded = encoder.encode(graphs, _table(graphs))
+        ref_t, ref_m = _reference_encode_stages(graphs, matrices, w, r, vocab.size)
         assert_bitwise_equal(dense_input(encoded), ref_t, "tensors")
         assert_bitwise_equal(encoded.vertex_mask, ref_m, "vertex_mask")
         assert_bitwise_equal(encoded.slots, _expected_slots(graphs, w), "slots")
 
     def test_fused_encode_single_vertex_graphs(self):
         graphs = [Graph(1, [], [0]), Graph(1, [], [1]), Graph(3, [(0, 1)], [0, 1, 1])]
-        matrices, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
+        matrices, vocab = _reference_feature_matrices(graphs, WLVertexFeatures(h=1))
         encoder = DeepMapEncoder(r=2).fit(graphs)
-        encoded = encoder.encode(graphs, matrices)
-        ref_t, ref_m = _reference_encode_stages(
-            graphs, matrices, encoder.w, 2, matrices[0].shape[1]
-        )
+        encoded = encoder.encode(graphs, _table(graphs))
+        ref_t, ref_m = _reference_encode_stages(graphs, matrices, encoder.w, 2, vocab.size)
         assert_bitwise_equal(dense_input(encoded), ref_t)
         assert_bitwise_equal(encoded.vertex_mask, ref_m)
 
     def test_pinned_sp_digests_unchanged(self):
         """SP-feature encode must match the pre-fusion capture exactly."""
         graphs = _pinned_dataset()
-        matrices, vocab = extract_vertex_feature_matrices(
+        table, vocab = extract_vertex_feature_matrices(
             graphs, ShortestPathVertexFeatures()
         )
         assert vocab.size == PRE_PR_SP_VOCAB_SIZE
-        encoded = DeepMapEncoder(r=3).fit(graphs).encode(graphs, matrices)
+        encoded = DeepMapEncoder(r=3).fit(graphs).encode(graphs, table)
         tensor_digest = hashlib.blake2b(
             dense_input(encoded).tobytes(), digest_size=16
         ).hexdigest()
@@ -229,9 +230,9 @@ class TestEncodeEndToEnd:
         vocabulary size equals the pre-remap value — the partition did
         not change, only the color values feeding the vocabulary keys."""
         graphs = _pinned_dataset()
-        matrices, vocab = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=2))
+        table, vocab = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=2))
         assert vocab.size == WL_VOCAB_SIZE
-        encoded = DeepMapEncoder(r=3).fit(graphs).encode(graphs, matrices)
+        encoded = DeepMapEncoder(r=3).fit(graphs).encode(graphs, table)
         tensor_digest = hashlib.blake2b(
             dense_input(encoded).tobytes(), digest_size=16
         ).hexdigest()
@@ -247,15 +248,13 @@ class TestEncodeEndToEnd:
             Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], [0, 0, 0, 0]),  # C4 ties
             Graph(6, [(0, 1), (1, 2), (3, 4)], [0, 0, 1, 2, 2, 0]),  # > w
         ]
-        matrices, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
-        encoded = DeepMapEncoder(r=2, w=4).encode(graphs, matrices)
+        encoded = DeepMapEncoder(r=2, w=4).encode(graphs, _table(graphs))
         assert_bitwise_equal(encoded.slots, _expected_slots(graphs, 4), "slots")
         assert encoded.slots[0].tolist()[-1] == DUMMY
 
     def test_dummy_rows_are_all_zero(self):
         graphs = _pinned_dataset()
-        matrices, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
-        encoded = DeepMapEncoder(r=4).fit(graphs).encode(graphs, matrices)
+        encoded = DeepMapEncoder(r=4).fit(graphs).encode(graphs, _table(graphs))
         # Graph 2 has 4 vertices; w is 6, so slots 4..5 are dummy padding.
         w, r = encoded.w, encoded.r
         pad = dense_input(encoded)[1, 4 * r :]
@@ -288,12 +287,12 @@ class TestRowTable:
         rnd.shuffle(graphs)
         w = max(1, max(g.n for g in graphs) + extra_w)
         matrices, sequences, fields, m = _encode_inputs(graphs, r, w)
-        encoded = DeepMapEncoder(r=r, w=w).encode(graphs, matrices)
+        encoded = DeepMapEncoder(r=r, w=w).encode(graphs, _table(graphs))
         ref_t, ref_m = _assemble(matrices, sequences, fields, w, r, m)
         n = len(graphs)
         assert encoded.shape == ref_t.shape
         assert encoded.rows.shape == (n, w * r)
-        assert np.all(encoded.features[-1] == 0.0)
+        assert np.all(encoded.features.dense([len(encoded.features) - 1]) == 0.0)
         everything = encoded.take_rows(np.arange(n))
         assert_bitwise_equal(everything, ref_t, "take_rows(all)")
         assert_bitwise_equal(encoded.vertex_mask, ref_m, "vertex_mask")
@@ -304,8 +303,7 @@ class TestRowTable:
 
     def test_dummy_cells_point_at_the_zero_row(self):
         graphs = _pinned_dataset()
-        matrices, _ = extract_vertex_feature_matrices(graphs, WLVertexFeatures(h=1))
-        encoded = DeepMapEncoder(r=4).fit(graphs).encode(graphs, matrices)
+        encoded = DeepMapEncoder(r=4).fit(graphs).encode(graphs, _table(graphs))
         zero_row = len(encoded.features) - 1
         assert zero_row == sum(g.n for g in graphs)
         # Graph 2 has 4 vertices; w is 6, so slots 4..5 are dummy padding.

@@ -10,6 +10,7 @@ same cache keys — for every scale factor, dataset seed, shard size
 from __future__ import annotations
 
 import dataclasses
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -138,14 +139,12 @@ def test_sharded_encode_equals_full_encode(graphs, shard_size):
         for counter in vertex_counts:
             for key, value in counter.items():
                 totals[key] = totals.get(key, 0) + value
-    vocab = FeatureVocabulary()
-    vocab.add_all(totals.keys())
-    vocab = vocab.freeze()
+    vocab = FeatureVocabulary(totals.keys())
     encoder = DeepMapEncoder(r=model.r, ordering=model.ordering).fit_width(
         [max(g.n for g in graphs)]
     )
-    matrices = [vocab.vectorize_rows(vc) for vc in counts]
-    full = dense_input(encoder.encode(graphs, matrices))
+    table = vocab.vectorize_rows(chain.from_iterable(counts))
+    full = dense_input(encoder.encode(graphs, table))
 
     cache, spool = make_spool_cache()
     with spool:
@@ -177,13 +176,10 @@ def test_streamed_cache_keys_match_materialized_shard_keys():
         for counter in vertex_counts:
             for key, value in counter.items():
                 totals[key] = totals.get(key, 0) + value
-    vocab = FeatureVocabulary()
-    vocab.add_all(totals.keys())
-    vocab = vocab.freeze()
+    vocab = FeatureVocabulary(totals.keys())
     encoder = DeepMapEncoder(r=model.r, ordering=model.ordering).fit_width(
         [max(g.n for g in eager.graphs)]
     )
-    matrices = [vocab.vectorize_rows(vc) for vc in counts]
     shard_size = 4
     cache, spool = make_spool_cache()
     with spool:
@@ -195,5 +191,6 @@ def test_streamed_cache_keys_match_materialized_shard_keys():
             start = s * shard_size
             stop = min(start + shard_size, len(eager.graphs))
             assert store._keys[s] == encoder.encode_key(
-                eager.graphs[start:stop], matrices[start:stop]
+                eager.graphs[start:stop],
+                vocab.vectorize_rows(chain.from_iterable(counts[start:stop])),
             )

@@ -16,6 +16,7 @@ from repro.features import (
 from repro.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 
 from tests.conftest import random_graphs
+from tests.oracles.features import _reference_wl_joint_refinement, graph_matrices
 
 
 class TestShortestPathFeatures:
@@ -123,7 +124,8 @@ class TestOneHotFeatures:
         from repro.features import OneHotLabelFeatures
 
         g = Graph(4, [], [0, 1, 2, 1])
-        matrices, vocab = extract_vertex_feature_matrices([g], OneHotLabelFeatures())
+        table, vocab = extract_vertex_feature_matrices([g], OneHotLabelFeatures())
+        matrices = graph_matrices(table, [g])
         assert vocab.size == 3
         assert np.allclose(matrices[0].sum(axis=1), 1.0)
 
@@ -142,7 +144,8 @@ class TestEquation7:
     )
     def test_sum_identity(self, extractor):
         graphs = [cycle_graph(5), star_graph(5), path_graph(4)]
-        matrices, vocab = extract_vertex_feature_matrices(graphs, extractor)
+        table, vocab = extract_vertex_feature_matrices(graphs, extractor)
+        matrices = graph_matrices(table, graphs)
         phi, vocab2 = graph_feature_maps(graphs, extractor)
         assert phi.shape == (3, vocab.size)
         for i, mat in enumerate(matrices):
@@ -151,39 +154,34 @@ class TestEquation7:
     @given(random_graphs(min_nodes=2, max_nodes=7))
     @settings(max_examples=20, deadline=None)
     def test_sum_identity_wl_random(self, g):
-        matrices, _ = extract_vertex_feature_matrices([g], WLVertexFeatures(h=2))
+        table, _ = extract_vertex_feature_matrices([g], WLVertexFeatures(h=2))
+        matrices = graph_matrices(table, [g])
         phi, _ = graph_feature_maps([g], WLVertexFeatures(h=2))
         assert np.allclose(phi[0], matrices[0].sum(axis=0))
 
 
 class TestJointRefinement:
-    """wl_joint_refinement is the classic shared-dictionary WL
-    implementation; its color partitions must agree with the stable-hash
-    colors used by the extractors."""
+    """The classic shared-dictionary WL (an oracle in
+    ``tests/oracles/features.py``): its color partitions must agree with
+    the stable-hash colors used by the extractors."""
 
     def test_shapes(self):
-        from repro.features import wl_joint_refinement
-
         graphs = [cycle_graph(4), star_graph(5)]
-        colorings = wl_joint_refinement(graphs, h=2)
+        colorings = _reference_wl_joint_refinement(graphs, h=2)
         assert len(colorings) == 3  # iterations 0..2
         assert colorings[0][0].shape == (4,)
         assert colorings[2][1].shape == (5,)
 
     def test_cross_graph_colors_shared(self):
-        from repro.features import wl_joint_refinement
-
         g1 = path_graph(3)
         g2 = path_graph(3)
-        colorings = wl_joint_refinement([g1, g2], h=2)
+        colorings = _reference_wl_joint_refinement([g1, g2], h=2)
         for it in range(3):
             assert np.array_equal(colorings[it][0], colorings[it][1])
 
     def test_partition_agrees_with_stable_hashes(self):
-        from repro.features import wl_joint_refinement, wl_stable_colors
-
         g = star_graph(6)
-        joint = wl_joint_refinement([g], h=2)
+        joint = _reference_wl_joint_refinement([g], h=2)
         stable = wl_stable_colors(g, 2)
         for it in range(3):
             a, b = joint[it][0], np.asarray(stable[it])
@@ -196,9 +194,10 @@ class TestJointRefinement:
 class TestMatrices:
     def test_shared_dimension(self):
         graphs = [cycle_graph(4), star_graph(6)]
-        matrices, vocab = extract_vertex_feature_matrices(
+        table, vocab = extract_vertex_feature_matrices(
             graphs, WLVertexFeatures(h=1)
         )
+        matrices = graph_matrices(table, graphs)
         assert matrices[0].shape == (4, vocab.size)
         assert matrices[1].shape == (6, vocab.size)
 

@@ -1,4 +1,4 @@
-"""Tests for the feature vocabulary."""
+"""Tests for the feature vocabulary and its sparse feature table."""
 
 import numpy as np
 import pytest
@@ -8,86 +8,93 @@ from repro.features import FeatureVocabulary
 
 class TestLifecycle:
     def test_add_then_freeze(self):
-        v = FeatureVocabulary()
-        v.add("b")
-        v.add("a")
-        v.freeze()
+        v = FeatureVocabulary(["b", "a"])
         assert v.size == 2
 
     def test_indices_sorted(self):
-        v = FeatureVocabulary()
-        v.add_all(["b", "a", "c"])
-        v.freeze()
+        v = FeatureVocabulary(["b", "a", "c"])
         assert [v.index(k) for k in ["a", "b", "c"]] == [0, 1, 2]
 
-    def test_freeze_idempotent(self):
-        v = FeatureVocabulary()
-        v.add("x")
-        v.freeze()
-        v.freeze()
-        assert v.size == 1
-
-    def test_add_after_freeze_fails(self):
-        v = FeatureVocabulary()
-        v.freeze()
-        with pytest.raises(RuntimeError, match="frozen"):
-            v.add("x")
-
-    def test_size_before_freeze_fails(self):
-        with pytest.raises(RuntimeError):
-            FeatureVocabulary().size
-
     def test_contains(self):
-        v = FeatureVocabulary()
-        v.add("x")
+        v = FeatureVocabulary(["x"])
         assert "x" in v
         assert "y" not in v
-        v.freeze()
-        assert "x" in v
 
     def test_keys_in_column_order(self):
-        v = FeatureVocabulary()
-        v.add_all(["z", "m", "a"])
-        v.freeze()
+        v = FeatureVocabulary(["z", "m", "a"])
         assert v.keys() == ["a", "m", "z"]
 
     def test_order_independent_of_insertion(self):
-        v1 = FeatureVocabulary()
-        v1.add_all(["x", "y"])
-        v2 = FeatureVocabulary()
-        v2.add_all(["y", "x"])
-        assert v1.freeze().keys() == v2.freeze().keys()
+        v1 = FeatureVocabulary(["x", "y"])
+        v2 = FeatureVocabulary(["y", "x"])
+        assert v1.keys() == v2.keys()
+
+    def test_pickled_before_the_keyword_constructor_still_loads(self):
+        """A vocabulary pickled when it was built by add/freeze carries a
+        ``_keys`` set next to ``_index``; the extra attribute is ignored."""
+        v = FeatureVocabulary.__new__(FeatureVocabulary)
+        v.__dict__.update({"_keys": {"a", "b"}, "_index": {"a": 0, "b": 1}})
+        assert v.size == 2 and v.keys() == ["a", "b"]
+        table = v.vectorize_rows([{"b": 2}])
+        assert table.dense([0]).tolist() == [[0.0, 2.0]]
 
 
 class TestVectorize:
     def test_basic(self):
-        v = FeatureVocabulary()
-        v.add_all(["a", "b"])
-        v.freeze()
-        vec = v.vectorize({"a": 2.0, "b": 3.0})
+        v = FeatureVocabulary(["a", "b"])
+        vec = v.vectorize_rows([{"a": 2.0, "b": 3.0}]).dense([0])[0]
         assert vec.tolist() == [2.0, 3.0]
 
     def test_unknown_keys_ignored(self):
-        v = FeatureVocabulary()
-        v.add("a")
-        v.freeze()
-        vec = v.vectorize({"a": 1.0, "unknown": 5.0})
+        v = FeatureVocabulary(["a"])
+        vec = v.vectorize_rows([{"a": 1.0, "unknown": 5.0}]).dense([0])[0]
         assert vec.tolist() == [1.0]
 
     def test_rows(self):
-        v = FeatureVocabulary()
-        v.add_all(["a", "b"])
-        v.freeze()
-        mat = v.vectorize_rows([{"a": 1}, {"b": 2}, {}])
+        v = FeatureVocabulary(["a", "b"])
+        table = v.vectorize_rows([{"a": 1}, {"b": 2}, {}])
+        mat = table.dense(np.arange(3))
+        assert len(table) == 3 and table.m == 2
         assert mat.shape == (3, 2)
         assert mat[2].tolist() == [0.0, 0.0]
 
     def test_tuple_keys(self):
-        v = FeatureVocabulary()
-        v.add_all([("wl", 0, 5), ("wl", 1, 3)])
-        v.freeze()
-        vec = v.vectorize({("wl", 0, 5): 4})
+        v = FeatureVocabulary([("wl", 0, 5), ("wl", 1, 3)])
+        vec = v.vectorize_rows([{("wl", 0, 5): 4}]).dense([0])[0]
         assert vec.sum() == 4
+
+
+class TestFeatureTable:
+    ROWS = [{"a": 1, "c": 2}, {}, {"b": 5}, {"c": 1}]
+
+    def test_dense_keeps_the_index_shape_and_repeats_rows(self):
+        table = FeatureVocabulary(["a", "b", "c"]).vectorize_rows(self.ROWS)
+        got = table.dense(np.array([[3, 1], [0, 0]]))
+        assert got.shape == (2, 2, 3)
+        assert got.tolist() == [
+            [[0, 0, 1], [0, 0, 0]],
+            [[1, 0, 2], [1, 0, 2]],
+        ]
+
+    def test_dense_of_no_rows(self):
+        table = FeatureVocabulary(["a"]).vectorize_rows(self.ROWS)
+        assert table.dense(np.zeros((0, 4), dtype=np.int64)).shape == (0, 4, 1)
+
+    def test_segment_sums_per_block(self):
+        table = FeatureVocabulary(["a", "b", "c"]).vectorize_rows(self.ROWS)
+        sums = table.segment_sums([2, 0, 2])
+        assert sums.dtype == np.float64
+        assert sums.tolist() == [[1, 0, 2], [0, 0, 0], [0, 5, 1]]
+
+    def test_segment_sums_of_an_empty_table(self):
+        table = FeatureVocabulary().vectorize_rows([])
+        assert table.segment_sums([0, 0]).shape == (2, 0)
+        assert table.segment_sums([0, 0]).dtype == np.float64
+
+    def test_segment_sums_rejects_sizes_that_miss_rows(self):
+        table = FeatureVocabulary(["a"]).vectorize_rows(self.ROWS)
+        with pytest.raises(ValueError, match="rows"):
+            table.segment_sums([1, 1])
 
 
 class TestFromCounts:

@@ -11,6 +11,8 @@ from repro.features import (
 )
 from repro.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 
+from tests.oracles.features import graph_matrices
+
 
 class TestLabeledWalks:
     def test_single_edge_counts(self):
@@ -90,8 +92,9 @@ class TestReturnProbabilityFeatures:
 
     def test_matrix_shapes(self):
         graphs = [cycle_graph(4), star_graph(5)]
-        matrices, vocab = extract_vertex_feature_matrices(
+        table, vocab = extract_vertex_feature_matrices(
             graphs, ReturnProbabilityVertexFeatures(steps=3)
         )
+        matrices = graph_matrices(table, graphs)
         assert matrices[0].shape == (4, vocab.size)
         assert matrices[1].shape == (5, vocab.size)

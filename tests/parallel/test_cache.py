@@ -203,21 +203,27 @@ class TestDefaultCache:
         assert cache.get("k") is not None
 
 
+def _csr(table):
+    """A feature table's CSR arrays."""
+    return table.indptr, table.indices, table.values
+
+
 class TestCachedHelpers:
     def test_counts_hit_is_bitwise_identical(self, small_dataset, tmp_path):
         graphs, _ = small_dataset
         extractor = WLVertexFeatures(h=2)
         cache = FeatureMapCache(cache_dir=tmp_path)
-        cold_m, cold_v = extract_vertex_feature_matrices(
+        cold_t, cold_v = extract_vertex_feature_matrices(
             graphs, extractor, cache=cache
         )
-        warm_m, warm_v = extract_vertex_feature_matrices(
+        warm_t, warm_v = extract_vertex_feature_matrices(
             graphs, extractor, cache=cache
         )
         assert cache.stats.hits == 1 and cache.stats.misses == 1
         assert cache.stats.by_namespace["counts_hits"] == 1
         assert warm_v.keys() == cold_v.keys()
-        for a, b in zip(cold_m, warm_m):
+        assert warm_t.m == cold_t.m
+        for a, b in zip(_csr(cold_t), _csr(warm_t)):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
 
@@ -225,21 +231,21 @@ class TestCachedHelpers:
         """Same dataset, new cache instance: still bitwise identical."""
         graphs, _ = small_dataset
         extractor = WLVertexFeatures(h=2)
-        cold_m, cold_v = extract_vertex_feature_matrices(
+        cold_t, cold_v = extract_vertex_feature_matrices(
             graphs, extractor, cache=FeatureMapCache(cache_dir=tmp_path)
         )
         fresh = FeatureMapCache(cache_dir=tmp_path)
-        warm_m, warm_v = extract_vertex_feature_matrices(
+        warm_t, warm_v = extract_vertex_feature_matrices(
             graphs, extractor, cache=fresh
         )
         assert fresh.stats.disk_hits == 1
         assert fresh.stats.by_namespace["counts_hits"] == 1
         assert warm_v.keys() == cold_v.keys()
-        for a, b in zip(cold_m, warm_m):
+        for a, b in zip(_csr(cold_t), _csr(warm_t)):
             np.testing.assert_array_equal(a, b)
 
     def test_feature_matrices_cache_only_counts(self, small_dataset, tmp_path):
-        """Dense matrices are rebuilt from cached counts, never stored."""
+        """The feature table is rebuilt from cached counts, never stored."""
         graphs, _ = small_dataset
         cache = FeatureMapCache(cache_dir=tmp_path)
         for _ in range(2):

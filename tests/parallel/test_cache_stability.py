@@ -14,7 +14,12 @@ algorithm tag when an extractor declares one — so:
   blake2b digests to splitmix64 codes (``CACHE_VERSION =
   "wl-colors/mix64-v2"``).  The old keys are kept here and asserted
   retired — a stale pre-remap WL entry must be unreachable, never
-  silently served.
+  silently served;
+* ``enc`` keys *rotated exactly once*, when the encoder input became a
+  sparse feature table: the key hashes the table's CSR arrays and width
+  instead of the dense per-graph matrices.  The feature values did not
+  change (the dense oracle still hashes to the retired key); the old SP
+  ``enc`` key is kept and an entry parked there is asserted unread.
 
 The disk round trips go one step further and land on the literal pinned
 ``enc`` key: a warm lookup must HIT it, not recompute.
@@ -42,6 +47,7 @@ from repro.features import (
 from repro.graph import Graph
 
 from tests.oracles.core import dense_input
+from tests.oracles.features import _reference_feature_matrices
 
 #: Fingerprint of `_pinned_dataset()` captured at the seed commit.
 PRE_PR_DATASET_FP = "ec7333c5e7572cf6fb5de54118daeadd"
@@ -69,11 +75,15 @@ OLD_WL_COUNTS_KEY = "e2125e7b4842bcd69df4a5984fc4e6c7"
 WL_FP = "796dcb8290b751cdc2f26884f494b834"
 WL_COUNTS_KEY = "e6cabf6742faee0d73d8ce4436320678"
 
-#: Encoder tensor key for SP matrices with r=3, eigenvector, w=6 —
-#: captured before the fused-encode PR; SP features are remap-immune, so
-#: this pin proves the encoder layer's key scheme (and output) held.
+#: Encoder key for dense SP matrices with r=3, eigenvector, w=6 —
+#: captured before the fused-encode PR and held until the sparse feature
+#: table replaced the dense matrices as encoder input — retired.
 PRE_PR_SP_MATRICES_HASH = "fa53fabde5f14ce436fd8816e0b184a6"
 PRE_PR_SP_ENC_KEY = "4d835c650cc3a18508da2d157b454dcd"
+
+#: The same encoding keyed by the SP feature table's CSR arrays (current).
+SP_TABLE_HASH = "5b7198b36cf9ae7c85189f4073353aba"
+SP_ENC_KEY = "9fcf445f3f3382abeabe74736743fb5b"
 
 
 def _pinned_dataset() -> list[Graph]:
@@ -118,17 +128,23 @@ class TestPinnedKeys:
             WLVertexFeatures(h=2)
         )
 
-    def test_sp_encoder_key_unchanged(self):
+    def test_sp_encoder_key_rotated_exactly_once(self):
+        """The dense SP matrices still hash to the retired key (the
+        features did not change); the sparse table lands on the pinned
+        current key, which ``encode_key`` computes."""
         graphs = _pinned_dataset()
-        matrices, _ = extract_vertex_feature_matrices(
-            graphs, ShortestPathVertexFeatures()
-        )
+        matrices, _ = _reference_feature_matrices(graphs, ShortestPathVertexFeatures())
         assert stable_hash(list(matrices)) == PRE_PR_SP_MATRICES_HASH
-        key = cache_key(
-            "enc", dataset_fingerprint(graphs), stable_hash(list(matrices)),
-            3, "eigenvector", 6,
-        )
-        assert key == PRE_PR_SP_ENC_KEY
+        ds = dataset_fingerprint(graphs)
+        old_key = cache_key("enc", ds, PRE_PR_SP_MATRICES_HASH, 3, "eigenvector", 6)
+        assert old_key == PRE_PR_SP_ENC_KEY
+
+        table, _ = extract_vertex_feature_matrices(graphs, ShortestPathVertexFeatures())
+        table_hash = stable_hash([table.indptr, table.indices, table.values, table.m])
+        assert table_hash == SP_TABLE_HASH
+        key = cache_key("enc", ds, table_hash, 3, "eigenvector", 6)
+        assert key == SP_ENC_KEY != PRE_PR_SP_ENC_KEY
+        assert DeepMapEncoder(r=3).fit(graphs).encode_key(graphs, table) == SP_ENC_KEY
 
 
 class TestPrePrEntriesStillHit:
@@ -149,18 +165,18 @@ class TestPrePrEntriesStillHit:
 
     def test_warm_cache_round_trips_through_fused_encode(self, tmp_path):
         """Cold write then warm read of the full encode path, same bits,
-        landing on the pre-PR SP encoder key."""
+        landing on the pinned SP encoder key."""
         graphs = _pinned_dataset()
         cache = FeatureMapCache(cache_dir=tmp_path)
-        matrices, _ = extract_vertex_feature_matrices(
+        table, _ = extract_vertex_feature_matrices(
             graphs, ShortestPathVertexFeatures(), cache=cache
         )
-        cold = DeepMapEncoder(r=3).fit(graphs).encode(graphs, matrices, cache=cache)
-        enc_path = tmp_path / PRE_PR_SP_ENC_KEY[:2] / f"{PRE_PR_SP_ENC_KEY}.npz"
+        cold = DeepMapEncoder(r=3).fit(graphs).encode(graphs, table, cache=cache)
+        enc_path = tmp_path / SP_ENC_KEY[:2] / f"{SP_ENC_KEY}.npz"
         assert enc_path.exists()
 
         fresh = FeatureMapCache(cache_dir=tmp_path)  # disk tier only
-        warm = DeepMapEncoder(r=3).fit(graphs).encode(graphs, matrices, cache=fresh)
+        warm = DeepMapEncoder(r=3).fit(graphs).encode(graphs, table, cache=fresh)
         assert fresh.stats.disk_hits == 1
         assert dense_input(warm).tobytes() == dense_input(cold).tobytes()
         assert warm.vertex_mask.tobytes() == cold.vertex_mask.tobytes()
@@ -169,37 +185,48 @@ class TestPrePrEntriesStillHit:
 
     def test_enc_payload_without_slots_is_recomputed(self, tmp_path):
         """An ``enc`` entry written before the slot table existed
-        (``{tensors, vertex_mask}``) sits under the unchanged key: it is
-        treated as a miss, recomputed bitwise, and overwritten."""
-        _assert_stale_enc_entry_is_recomputed(tmp_path, ["tensors", "vertex_mask"])
+        (``{tensors, vertex_mask}``) sits under the retired key: it is
+        never read; the encoding is recomputed under the new key."""
+        _assert_retired_enc_entry_is_never_read(tmp_path, ["tensors", "vertex_mask"])
 
     def test_enc_payload_without_rows_is_recomputed(self, tmp_path):
-        """An ``enc`` entry written before the row-index table existed
-        (``{tensors, slots}``, the dense tensor) is likewise a miss."""
-        _assert_stale_enc_entry_is_recomputed(tmp_path, ["tensors", "slots"])
+        """Likewise for an entry written before the row-index table
+        existed (``{tensors, slots}``, the dense tensor) and one written
+        with the dense feature rows (``{features, rows, slots}``)."""
+        _assert_retired_enc_entry_is_never_read(tmp_path, ["tensors", "slots"])
+        _assert_retired_enc_entry_is_never_read(tmp_path, ["features", "rows", "slots"])
 
 
-def _assert_stale_enc_entry_is_recomputed(tmp_path, stale_fields):
+def _assert_retired_enc_entry_is_never_read(tmp_path, stale_fields):
     graphs = _pinned_dataset()
-    matrices, _ = extract_vertex_feature_matrices(graphs, ShortestPathVertexFeatures())
-    want = DeepMapEncoder(r=3).fit(graphs).encode(graphs, matrices)
-    path = tmp_path / PRE_PR_SP_ENC_KEY[:2] / f"{PRE_PR_SP_ENC_KEY}.npz"
-    path.parent.mkdir(parents=True)
+    table, _ = extract_vertex_feature_matrices(graphs, ShortestPathVertexFeatures())
+    want = DeepMapEncoder(r=3).fit(graphs).encode(graphs, table)
+    stale_path = tmp_path / PRE_PR_SP_ENC_KEY[:2] / f"{PRE_PR_SP_ENC_KEY}.npz"
+    new_path = tmp_path / SP_ENC_KEY[:2] / f"{SP_ENC_KEY}.npz"
+    stale_path.parent.mkdir(parents=True, exist_ok=True)
+    new_path.unlink(missing_ok=True)
     # Poisoned arrays: serving the stale entry would show.
     stale = {
         "tensors": np.zeros(want.shape),
         "vertex_mask": np.zeros_like(want.vertex_mask),
+        "features": np.zeros((len(want.features), want.m)),
+        "rows": np.zeros_like(want.rows),
         "slots": np.zeros_like(want.slots),
     }
-    np.savez(path, **{name: stale[name] for name in stale_fields})
+    np.savez(stale_path, **{name: stale[name] for name in stale_fields})
 
     cache = FeatureMapCache(cache_dir=tmp_path)
-    got = DeepMapEncoder(r=3).fit(graphs).encode(graphs, matrices, cache=cache)
-    assert cache.stats.disk_hits == 1  # the stale entry was read, then rejected
+    got = DeepMapEncoder(r=3).fit(graphs).encode(graphs, table, cache=cache)
+    assert cache.stats.disk_hits == 0  # the retired entry is unreachable
+    assert cache.stats.misses == 1
     assert dense_input(got).tobytes() == dense_input(want).tobytes()
     assert got.slots.tobytes() == want.slots.tobytes()
-    with np.load(path) as npz:
-        assert sorted(npz.files) == ["features", "rows", "slots"]
-        assert npz["features"].tobytes() == want.features.tobytes()
+    with np.load(stale_path) as npz:
+        assert sorted(npz.files) == sorted(stale_fields)
+    with np.load(new_path) as npz:
+        assert sorted(npz.files) == ["indices", "indptr", "m", "rows", "slots", "values"]
+        assert npz["indptr"].tobytes() == want.features.indptr.tobytes()
+        assert npz["indices"].tobytes() == want.features.indices.tobytes()
+        assert npz["values"].tobytes() == want.features.values.tobytes()
+        assert npz["m"].tolist() == [want.m]
         assert npz["rows"].tobytes() == want.rows.tobytes()
-

@@ -29,8 +29,8 @@ def _encode_chunk(context, payload):
     graphs = context
     lo, hi = payload
     chunk = graphs[lo:hi]
-    matrices, _ = extract_vertex_feature_matrices(chunk, WLVertexFeatures(h=2))
-    encoded = DeepMapEncoder(r=4).fit(chunk).encode(chunk, matrices)
+    table, _ = extract_vertex_feature_matrices(chunk, WLVertexFeatures(h=2))
+    encoded = DeepMapEncoder(r=4).fit(chunk).encode(chunk, table)
     tensors = encoded.take_rows(np.arange(len(chunk)))
     digest = hashlib.blake2b(
         tensors.tobytes() + encoded.vertex_mask.tobytes(), digest_size=16

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -28,14 +30,12 @@ def encoded_reference():
         for counter in vertex_counts:
             for key, value in counter.items():
                 totals[key] = totals.get(key, 0) + value
-    vocab = FeatureVocabulary()
-    vocab.add_all(totals.keys())
-    vocab = vocab.freeze()
+    vocab = FeatureVocabulary(totals.keys())
     encoder = DeepMapEncoder(r=model.r, ordering=model.ordering).fit_width(
         [max(g.n for g in eager.graphs)]
     )
-    matrices = [vocab.vectorize_rows(vc) for vc in counts]
-    full = dense_input(encoder.encode(eager.graphs, matrices))
+    table = vocab.vectorize_rows(chain.from_iterable(counts))
+    full = dense_input(encoder.encode(eager.graphs, table))
     return eager, stream, model, vocab, encoder, full
 
 
@@ -101,12 +101,12 @@ def test_shard_keys_match_the_materialized_encode_keys(encoded_reference):
     with spool:
         store.warm()
         counts = cached_vertex_counts(model.extractor, eager.graphs)
-        matrices = [vocab.vectorize_rows(vc) for vc in counts]
         for s in range(store.num_shards):
             start = s * shard_size
             stop = min(start + shard_size, store.n)
             want = encoder.encode_key(
-                eager.graphs[start:stop], matrices[start:stop]
+                eager.graphs[start:stop],
+                vocab.vectorize_rows(chain.from_iterable(counts[start:stop])),
             )
             assert store._keys[s] == want
 

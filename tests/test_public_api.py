@@ -3,6 +3,9 @@ and the paper's example flows must be expressible through `repro.*`."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -87,3 +90,17 @@ def test_no_reference_oracles_in_src():
                 if name.startswith("_reference")
             ]
     assert not offenders, offenders
+
+
+def test_core_and_serve_import_without_scipy():
+    """The scoring and serving import path stays numpy-only: importing
+    ``scipy`` costs a served process startup time and resident memory."""
+    import repro
+
+    src_root = str(Path(repro.__file__).parent.parent)
+    code = "import sys, repro.core, repro.serve; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src_root}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
