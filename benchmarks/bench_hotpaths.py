@@ -23,7 +23,16 @@ to ``BENCH_hotpaths.json`` in the repo root:
 
 Speedups are machine-relative (both sides run on the same box in the
 same process), so the JSON is comparable across machines;
-``scripts/check_bench_regression.py`` gates on it.  Equality checks:
+``scripts/check_bench_regression.py`` gates on it.  Each stage runs in
+``_CHILDREN`` fresh interpreters in turn, pinned to one CPU, with one
+BLAS thread; each
+times (vectorized, reference) *pairs* back to back, alternating which
+side goes first, until it has run ``_MIN_PAIRS`` pairs and
+``_MIN_SECONDS`` of wall clock (``time.perf_counter``, every stage),
+and reports the median of its per-pair ratios.  The recorded speedup is
+the median over the interpreters.  A host that slows down for a while
+slows both halves of the pairs it overlaps, where separate best-of
+blocks for each side drifted apart on a shared VM.  Equality checks:
 every stage asserts *bitwise* identity with its oracle except WL,
 which asserts *partition* equality — the splitmix64 radix remap
 replaced the blake2b color values (one documented break; see
@@ -43,8 +52,10 @@ or ``python -m benchmarks.bench_hotpaths``.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
-import timeit
+import statistics
+import time
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +85,7 @@ from tests.oracles.features import (
     _reference_feature_matrices,
     _reference_sp_vertex_counts,
     _reference_wl_stable_colors,
+    counters,
 )
 from tests.oracles.graph import _reference_apsp_bfs
 from tests.oracles.kernels import _reference_assemble_gram
@@ -98,7 +110,13 @@ STAGE_FLOORS = {"wl_feature_maps": 3.0, "gram_assembly": 3.0}
 
 #: MUTAG at scale 1.0 is the acceptance configuration (188 graphs).
 _SCALE = 0.05 if SMOKE else 1.0
-_REPEATS = 1 if SMOKE else 3
+
+#: Each stage runs in this many fresh interpreters, one after another ...
+_CHILDREN = 1 if SMOKE else 5
+#: ... each timing at least this many (vectorized, reference) pairs ...
+_MIN_PAIRS = 1 if SMOKE else 5
+#: ... and pairing until it has spent this much wall clock.
+_MIN_SECONDS = 0.0 if SMOKE else 1.5
 
 _RESULTS: dict[str, dict] = {}
 
@@ -107,28 +125,81 @@ def _graphs():
     return make_dataset("MUTAG", scale=_SCALE, seed=0).graphs
 
 
-def _best_of(fn, repeats: int = _REPEATS) -> tuple[float, object]:
-    """Best wall time over ``repeats`` runs, plus the last return value."""
-    best, value = float("inf"), None
-    for _ in range(repeats):
-        start = timeit.default_timer()
-        value = fn()
-        best = min(best, timeit.default_timer() - start)
-    return best, value
+def _paired(vectorized, reference) -> tuple[dict, object, object]:
+    """Time (vectorized, reference) pairs in alternation.
 
-
-def _record(stage: str, reference_s: float, vectorized_s: float, **extra) -> None:
-    speedup = reference_s / vectorized_s if vectorized_s > 0 else float("inf")
-    _RESULTS[stage] = {
-        "reference_s": reference_s,
-        "vectorized_s": vectorized_s,
-        "speedup": speedup,
-        **extra,
+    Returns the timing record — median seconds of each side, the median
+    of the per-pair ``reference / vectorized`` ratios as ``speedup``, and
+    the pair count — plus one more return value of each side, for the
+    equality checks.  Timed results are dropped at once, so no call runs
+    while the previous one's output is held.
+    """
+    fns = (vectorized, reference)
+    times: tuple[list[float], list[float]] = ([], [])
+    began = time.perf_counter()
+    while len(times[0]) < _MIN_PAIRS or time.perf_counter() - began < _MIN_SECONDS:
+        for side in (0, 1) if len(times[0]) % 2 == 0 else (1, 0):
+            start = time.perf_counter()
+            fns[side]()
+            times[side].append(time.perf_counter() - start)
+    vec_s, ref_s = times
+    record = {
+        "reference_s": statistics.median(ref_s),
+        "vectorized_s": statistics.median(vec_s),
+        "speedup": statistics.median(r / v for r, v in zip(ref_s, vec_s)),
+        "pairs": len(vec_s),
     }
+    return record, vectorized(), reference()
+
+
+#: Stage interpreters run BLAS on one thread, so a GEMM's speed does not
+#: depend on whether another tenant holds the second CPU.
+_STAGE_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _isolated(stage) -> tuple[dict, dict]:
+    """Run ``stage`` (a module-level stage body) in ``_CHILDREN`` fresh
+    interpreters, one after another, all on the lowest CPU this process
+    may use; the speedup is their median.
+
+    A fresh interpreter starts from the same allocator state instead of
+    the heap the stages before it left behind: on a 2-CPU VM, Conv1D
+    forward read ~4x in a fresh process and ~9.7x after the four stages
+    before it.  The CPU is fixed because on that VM the ratio depended
+    on which one a child ran on (WL 6.5x on one, 7.5x on the other).
+    """
+    saved = {name: os.environ.get(name) for name in _STAGE_ENV}
+    cpus = os.sched_getaffinity(0)
+    os.environ.update(_STAGE_ENV)
+    os.sched_setaffinity(0, {min(cpus)})  # spawned children inherit it
+    try:
+        spawn = multiprocessing.get_context("spawn")
+        with spawn.Pool(1, maxtasksperchild=1) as pool:
+            runs = [pool.apply(stage) for _ in range(_CHILDREN)]
+    finally:
+        os.sched_setaffinity(0, cpus)
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name)
+            else:
+                os.environ[name] = value
+    timings = [timing for timing, _ in runs]
+    record = {
+        name: statistics.median(t[name] for t in timings)
+        for name in ("reference_s", "vectorized_s", "speedup")
+    }
+    record["child_speedups"] = [t["speedup"] for t in timings]
+    record["pairs"] = sum(t["pairs"] for t in timings)
+    return record, runs[0][1]
+
+
+def _record(stage: str, timing: dict, extra: dict) -> None:
+    _RESULTS[stage] = {**timing, **extra}
     _flush()
     print(
-        f"  {stage:<18s} reference {reference_s:.4f}s  "
-        f"vectorized {vectorized_s:.4f}s  speedup {speedup:.2f}x"
+        f"  {stage:<18s} reference {timing['reference_s']:.4f}s  "
+        f"vectorized {timing['vectorized_s']:.4f}s  "
+        f"speedup {timing['speedup']:.2f}x over {timing['pairs']} pairs"
     )
 
 
@@ -142,7 +213,15 @@ def _flush() -> None:
     results["config"] = {
         "dataset": "MUTAG",
         "scale": _SCALE,
-        "repeats": _REPEATS,
+        "timing": {
+            "method": "median ratio of alternating (vectorized, reference) pairs",
+            "clock": "time.perf_counter",
+            "children": _CHILDREN,
+            "cpu": "the lowest CPU in the process's affinity mask",
+            "env": dict(_STAGE_ENV),
+            "min_pairs": _MIN_PAIRS,
+            "min_seconds": _MIN_SECONDS,
+        },
         "smoke": SMOKE,
         "acceptance": {
             "key_stages": list(KEY_STAGES),
@@ -157,6 +236,10 @@ def _flush() -> None:
 
 def test_receptive_fields():
     print_header("Hot path: receptive-field table assembly")
+    _record("receptive_fields", *_isolated(_receptive_fields))
+
+
+def _receptive_fields():
     graphs = _graphs()
     r = 10
     scores = [centrality_scores(g, "eigenvector") for g in graphs]
@@ -171,11 +254,10 @@ def test_receptive_fields():
         ]
 
     vectorized()  # warmup
-    vec_s, vec = _best_of(vectorized)
-    ref_s, ref = _best_of(reference)
+    timing, vec, ref = _paired(vectorized, reference)
     for a, b in zip(vec, ref):
         assert a.tobytes() == b.tobytes() and a.dtype == b.dtype
-    _record("receptive_fields", ref_s, vec_s, graphs=len(graphs), r=r)
+    return timing, dict(graphs=len(graphs), r=r)
 
 
 def _same_partition(a: list, b: list) -> bool:
@@ -191,6 +273,10 @@ def _same_partition(a: list, b: list) -> bool:
 
 def test_wl_feature_maps():
     print_header("Hot path: WL stable-color refinement")
+    _record("wl_feature_maps", *_isolated(_wl_feature_maps))
+
+
+def _wl_feature_maps():
     graphs = _graphs()
     h = 3
 
@@ -201,8 +287,7 @@ def test_wl_feature_maps():
         return [_reference_wl_stable_colors(g, h) for g in graphs]
 
     vectorized()  # warmup
-    vec_s, vec = _best_of(vectorized)
-    ref_s, ref = _best_of(reference)
+    timing, vec, ref = _paired(vectorized, reference)
     # The splitmix64 remap changed the color *values* (documented break);
     # the *partition* must match the blake2b oracle jointly across the
     # whole dataset at every iteration.
@@ -210,11 +295,15 @@ def test_wl_feature_maps():
         joint_vec = [c for table in vec for c in table[it]]
         joint_ref = [c for table in ref for c in table[it]]
         assert _same_partition(joint_vec, joint_ref), f"iteration {it}"
-    _record("wl_feature_maps", ref_s, vec_s, graphs=len(graphs), h=h)
+    return timing, dict(graphs=len(graphs), h=h)
 
 
 def test_sp_features():
     print_header("Hot path: shortest-path feature binning")
+    _record("sp_features", *_isolated(_sp_features))
+
+
+def _sp_features():
     graphs = _graphs()
     extractor = ShortestPathVertexFeatures()
 
@@ -225,14 +314,17 @@ def test_sp_features():
         return [_reference_sp_vertex_counts(g, None) for g in graphs]
 
     vectorized()  # warmup
-    vec_s, vec = _best_of(vectorized)
-    ref_s, ref = _best_of(reference)
-    assert vec == ref
-    _record("sp_features", ref_s, vec_s, graphs=len(graphs))
+    timing, vec, ref = _paired(vectorized, reference)
+    assert counters(vec, graphs) == ref
+    return timing, dict(graphs=len(graphs))
 
 
 def test_batched_bfs():
     print_header("Hot path: all-pairs BFS distances")
+    _record("batched_bfs", *_isolated(_batched_bfs))
+
+
+def _batched_bfs():
     graphs = _graphs()
 
     def vectorized():
@@ -242,11 +334,10 @@ def test_batched_bfs():
         return [_reference_apsp_bfs(g) for g in graphs]
 
     vectorized()  # warmup
-    vec_s, vec = _best_of(vectorized)
-    ref_s, ref = _best_of(reference)
+    timing, vec, ref = _paired(vectorized, reference)
     for a, b in zip(vec, ref):
         assert a.tobytes() == b.tobytes()
-    _record("batched_bfs", ref_s, vec_s, graphs=len(graphs))
+    return timing, dict(graphs=len(graphs))
 
 
 def _conv_setup():
@@ -261,6 +352,10 @@ def _conv_setup():
 
 def test_conv1d_forward():
     print_header("Hot path: Conv1D forward (im2col GEMM)")
+    _record("conv1d_forward", *_isolated(_conv1d_forward))
+
+
+def _conv1d_forward():
     layer, x, r = _conv_setup()
 
     def vectorized():
@@ -272,14 +367,20 @@ def test_conv1d_forward():
         )
 
     vectorized()  # warmup
-    vec_s, vec = _best_of(lambda: [vectorized() for _ in range(20)])
-    ref_s, ref = _best_of(lambda: [reference() for _ in range(20)])
+    timing, vec, ref = _paired(
+        lambda: [vectorized() for _ in range(20)],
+        lambda: [reference() for _ in range(20)],
+    )
     assert vec[0].tobytes() == ref[0].tobytes()
-    _record("conv1d_forward", ref_s, vec_s, batch=x.shape[0], length=x.shape[1])
+    return timing, dict(batch=x.shape[0], length=x.shape[1])
 
 
 def test_conv1d_backward():
     print_header("Hot path: Conv1D backward (scatter)")
+    _record("conv1d_backward", *_isolated(_conv1d_backward))
+
+
+def _conv1d_backward():
     layer, x, r = _conv_setup()
     out = layer.forward(x)
     grad = np.random.default_rng(1).normal(size=out.shape)
@@ -294,14 +395,20 @@ def test_conv1d_backward():
         return _reference_conv1d_backward(x, layer.weight.value, grad, r, r)
 
     vectorized()  # warmup
-    vec_s, vec = _best_of(lambda: [vectorized() for _ in range(20)])
-    ref_s, ref = _best_of(lambda: [reference() for _ in range(20)])
+    timing, vec, ref = _paired(
+        lambda: [vectorized() for _ in range(20)],
+        lambda: [reference() for _ in range(20)],
+    )
     assert vec[0].tobytes() == ref[0][0].tobytes()
-    _record("conv1d_backward", ref_s, vec_s, batch=x.shape[0], length=x.shape[1])
+    return timing, dict(batch=x.shape[0], length=x.shape[1])
 
 
 def test_gram_assembly():
     print_header("Hot path: one-GEMM gram assembly (WL features)")
+    _record("gram_assembly", *_isolated(_gram_assembly))
+
+
+def _gram_assembly():
     graphs = _graphs()
     kernel = ExplicitFeatureKernel(WLVertexFeatures(h=3))
     # Feature extraction is shared by both assemblies (and benched on its
@@ -315,18 +422,18 @@ def test_gram_assembly():
         return _reference_assemble_gram(phi)
 
     vectorized()  # warmup
-    vec_s, vec = _best_of(vectorized)
-    ref_s, ref = _best_of(reference)
+    timing, vec, ref = _paired(vectorized, reference)
     # Integer-valued counts < 2^53: the GEMM is bitwise-exact.
     assert vec.tobytes() == ref.tobytes() and vec.dtype == ref.dtype
-    _record(
-        "gram_assembly", ref_s, vec_s,
-        graphs=len(graphs), h=3, feature_dim=int(phi.shape[1]),
-    )
+    return timing, dict(graphs=len(graphs), h=3, feature_dim=int(phi.shape[1]))
 
 
 def test_fused_encode():
     print_header("Hot path: fused encode (alignment -> fields -> assemble)")
+    _record("fused_encode", *_isolated(_fused_encode))
+
+
+def _fused_encode():
     graphs = _graphs()
     r = 10
     table, _ = extract_vertex_feature_matrices(graphs, ShortestPathVertexFeatures())
@@ -352,11 +459,10 @@ def test_fused_encode():
         return _reference_encode_stages(graphs, matrices, w, r, m)
 
     vectorized()  # warmup
-    vec_s, vec = _best_of(vectorized)
-    ref_s, ref = _best_of(reference)
+    timing, vec, ref = _paired(vectorized, reference)
     assert vec[0].tobytes() == ref[0].tobytes()
     assert vec[1].tobytes() == ref[1].tobytes()
-    _record("fused_encode", ref_s, vec_s, graphs=len(graphs), r=r, w=w, m=m)
+    return timing, dict(graphs=len(graphs), r=r, w=w, m=m)
 
 
 def test_acceptance_summary():

@@ -5,7 +5,8 @@ The paper: "DeepMap can be built on the vertex feature maps of any
 substructures."  This example shows the extension API end to end:
 
 1. write a new :class:`VertexFeatureExtractor` (here: triangle
-   participation counts — a 10-line extractor);
+   participation counts — a 10-line extractor that builds one dict per
+   vertex and returns them as :class:`VertexCounts`);
 2. plug it into DeepMap unchanged;
 3. compare with the library's built-in substructure families (WL
    subtrees, shortest paths, Tree++ path patterns, labeled walks) on one
@@ -25,6 +26,7 @@ from repro.features import (
     LabeledWalkVertexFeatures,
     PathPatternVertexFeatures,
     ShortestPathVertexFeatures,
+    VertexCounts,
     VertexFeatureExtractor,
     WLVertexFeatures,
 )
@@ -41,7 +43,7 @@ class TriangleVertexFeatures(VertexFeatureExtractor):
     name = "triangles"
 
     def extract(self, graphs):
-        out = []
+        rows = []
         for g in graphs:
             per_vertex = [Counter() for _ in range(g.n)]
             for u, v in g.edges:
@@ -54,8 +56,9 @@ class TriangleVertexFeatures(VertexFeatureExtractor):
                         )))
                         for vertex in (int(u), int(v), int(w)):
                             per_vertex[vertex][key] += 1
-            out.append(per_vertex)
-        return out
+            rows += per_vertex
+        # One row per vertex of every graph, in graph order.
+        return VertexCounts.from_dicts(rows)
 
 
 def main() -> None:

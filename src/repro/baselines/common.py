@@ -20,7 +20,6 @@ graph's dense ``(n, d)`` input is cut from that table one graph at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -141,10 +140,10 @@ class GNNBaseline:
         onehot = self.features == "onehot"
         counts = (OneHotLabelFeatures() if onehot else self.features).extract(graphs)
         if fit:
-            self.vocabulary_ = FeatureVocabulary.from_counts(counts)
+            self.vocabulary_ = FeatureVocabulary.from_counts([counts])
         check_fitted(self, "vocabulary_")
         assert self.vocabulary_ is not None
-        table = self.vocabulary_.vectorize_rows(chain.from_iterable(counts))
+        table = self.vocabulary_.vectorize_rows(counts)
         bounds = np.cumsum([0] + [g.n for g in graphs])
         return [table.dense(np.arange(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
 

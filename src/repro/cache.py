@@ -5,9 +5,9 @@ The paper's evaluation grid (Tables 1-5: 15 datasets x 3 feature maps x
 input tensor from scratch on each invocation, and that preprocessing —
 not the CNN — dominates wall clock at benchmark scale.  This module
 memoizes those artifacts across calls *and* across processes, in two
-namespaces: ``counts`` (per-vertex substructure counts, from which the
-vocabulary and the dense matrices are rebuilt) and ``enc`` (the encoded
-tensor plus its slot -> vertex table):
+namespaces: ``counts`` (per-vertex substructure count tables, from
+which the vocabulary and the feature rows are rebuilt) and ``enc`` (the
+encoding's feature rows plus its slot -> vertex table):
 
 * :func:`stable_hash` canonically encodes nested Python/numpy/graph
   values so equal *content* always produces the same digest — dict
@@ -16,8 +16,8 @@ tensor plus its slot -> vertex table):
   the extractor class + hyperparameters, and any encoder parameters, so
   changing ``k``, ``h``, ``max_distance``, ``seed``, ``r`` … changes the
   key: entries are invalidated by construction, never by TTL.
-* :class:`FeatureMapCache` stores ``{name: ndarray}`` payloads in an
-  optional on-disk ``.npz`` tier laid out as
+* :class:`FeatureMapCache` stores ``{name: ndarray}`` payloads of plain
+  arrays (never pickles) in an optional on-disk ``.npz`` tier laid out as
   ``<cache_dir>/<key[:2]>/<key>.npz`` (atomic writes) fronted by an
   in-memory LRU tier.  A put is held in memory only when it is not on
   disk, so writing never pins what the disk already holds; a disk hit is
@@ -314,11 +314,10 @@ def _mmap_npz(path: Path) -> dict[str, np.ndarray]:
 class FeatureMapCache:
     """Two-tier (memory LRU + optional disk) array-payload cache.
 
-    Payloads are ``{name: ndarray}`` dicts; object-dtype arrays are
-    allowed (vocabulary key lists, per-vertex ``Counter`` lists) and are
-    pickled inside the ``.npz`` container.  All reads that fail for any
-    reason — missing file, truncation, bad pickle, wrong format — count
-    as misses, drop the offending file, and let the caller recompute.
+    Payloads are ``{name: ndarray}`` dicts of plain arrays; nothing is
+    pickled.  All reads that fail for any reason — missing file,
+    truncation, a pickled member, wrong format — count as misses, drop
+    the offending file, and let the caller recompute.
 
     Parameters
     ----------
@@ -427,9 +426,8 @@ class FeatureMapCache:
         costs page-table entries, not resident bytes, which is what lets
         the streaming pipeline hold "hot" encoded shards far beyond RAM.
         Mapped arrays are read-only views backed by the cache file.
-        Object-dtype members (pickled vocabularies/Counters), compressed
-        containers and any file the mapper cannot parse fall back to a
-        copying ``np.load``.
+        Compressed containers and any file the mapper cannot parse fall
+        back to a copying ``np.load`` that refuses pickled members.
 
         The mmap attempt validates the full zip structure (central
         directory, local headers, npy headers, member spans inside the
@@ -441,11 +439,11 @@ class FeatureMapCache:
         try:
             payload = _mmap_npz(path)
         except Exception:
-            pass  # not mappable (object dtype, compressed, damaged)
+            pass  # not mappable (compressed, damaged, pickled)
         else:
             self.stats.mmap_hits += 1
             return payload
-        with np.load(path, allow_pickle=True) as npz:
+        with np.load(path) as npz:
             return {name: npz[name] for name in npz.files}
 
     # -- write ----------------------------------------------------------
@@ -455,8 +453,12 @@ class FeatureMapCache:
         With a disk tier the payload goes to disk only: a later
         :meth:`get` maps it back as a read-only view instead of the
         memory tier pinning the caller's arrays.  The memory tier keeps
-        it when there is no disk tier or the disk write failed.
+        it when there is no disk tier or the disk write failed.  An
+        object-dtype member, which only pickle could store, raises.
         """
+        for name, arr in payload.items():
+            if np.asarray(arr).dtype.hasobject:
+                raise TypeError(f"cache payload member {name!r} has object dtype")
         if self.cache_dir is None:
             self._memory_store(key, payload)
         else:

@@ -8,8 +8,6 @@ three named variants of the paper are the factory helpers
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from repro import obs
@@ -115,11 +113,11 @@ class DeepMapClassifier:
                 counts = cached_vertex_counts(self.extractor, graphs, cache=self.cache)
             if fit_vocabulary:
                 self.vocabulary_ = FeatureVocabulary.from_counts(
-                    counts, self.max_features
+                    [counts], self.max_features
                 )
             assert self.vocabulary_ is not None
             with obs.span("vectorize", m=self.vocabulary_.size):
-                return self.vocabulary_.vectorize_rows(chain.from_iterable(counts))
+                return self.vocabulary_.vectorize_rows(counts)
 
     def encode(self, graphs: list[Graph], fit: bool = False):
         """Vertex feature maps -> Algorithm 1 encoding of ``graphs``."""

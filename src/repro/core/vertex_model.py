@@ -11,8 +11,6 @@ and a softmax — trained with a mask so padded slots contribute nothing.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from repro.core.architecture import DEFAULT_CHANNELS, conv_stack
@@ -80,11 +78,11 @@ class DeepMapVertexClassifier:
     def _encode(self, graphs: list[Graph], fit: bool) -> EncodedDataset:
         counts = self.extractor.extract(graphs)
         if fit:
-            self.vocabulary_ = FeatureVocabulary.from_counts(counts)
+            self.vocabulary_ = FeatureVocabulary.from_counts([counts])
             self.encoder_ = DeepMapEncoder(r=self.r, ordering=self.ordering).fit(graphs)
         check_fitted(self, "vocabulary_")
         assert self.vocabulary_ is not None and self.encoder_ is not None
-        table = self.vocabulary_.vectorize_rows(chain.from_iterable(counts))
+        table = self.vocabulary_.vectorize_rows(counts)
         return self.encoder_.encode(graphs, table)
 
     def _slot_targets(

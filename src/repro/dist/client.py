@@ -2,8 +2,8 @@
 
 :class:`WorkerClient` is the coordinator's handle on one worker — a
 lazily-connected, lock-serialized request/reply socket.  Long-running
-requests (``run_fold``) use :meth:`request_with_keepalive`, which polls
-the reply with a short socket timeout and invokes a tick callback on
+requests (``run_fold``) pass :meth:`WorkerClient.request` a ``tick``: the
+reply is then polled with a short socket timeout and ``tick`` runs on
 every timeout — the coordinator refreshes its journal fold claim there,
 so a claim's heartbeat stays fresh exactly as long as the fold is truly
 in flight.
@@ -89,43 +89,36 @@ class WorkerClient:
                 pass
             self._sock = None
 
-    def _roundtrip(self, header, arrays, allow_pickle, tick):
+    def _roundtrip(self, header, arrays, tick):
         sock = self._connect()
         sent = protocol.send_message(sock, header, arrays)
         obs.counter("dist_bytes_sent_total").inc(sent)
         if tick is None:
             sock.settimeout(self.timeout_s)
-            reply = protocol.recv_message(sock, allow_pickle=allow_pickle)
+            reply = protocol.recv_message(sock)
         else:
             # Short poll timeout + on_timeout hook: the frame buffer
             # survives ticks, so a slow reply is never torn by the poll.
             sock.settimeout(KEEPALIVE_TICK_S)
-            reply = protocol.recv_message(
-                sock, allow_pickle=allow_pickle, on_timeout=tick
-            )
+            reply = protocol.recv_message(sock, on_timeout=tick)
         if reply is None:
             raise DistError(f"worker {self.address} closed the connection")
         return reply
 
-    def request(
-        self,
-        header: dict,
-        arrays=None,
-        *,
-        allow_pickle: bool = False,
-        tick=None,
-    ) -> tuple[dict, dict]:
+    def request(self, header: dict, arrays=None, *, tick=None) -> tuple[dict, dict]:
         """Send one request, await the reply ``(header, arrays)``.
 
         Raises :class:`DistError` on transport failure or when the
         worker reports ``ok: false``; the socket is dropped on transport
-        errors so the next request starts clean.
+        errors so the next request starts clean.  A ``tick`` runs in the
+        requesting thread roughly every ``KEEPALIVE_TICK_S`` seconds
+        until the reply lands; a ``tick`` that raises aborts the wait
+        (the coordinator bails out there when the heartbeat monitor
+        declares the worker dead).
         """
         with self._lock:
             try:
-                reply_header, reply_arrays = self._roundtrip(
-                    header, arrays, allow_pickle, tick
-                )
+                reply_header, reply_arrays = self._roundtrip(header, arrays, tick)
             except DistError:
                 self._close_locked()
                 raise
@@ -141,20 +134,6 @@ class WorkerClient:
                 f"{reply_header.get('error', 'unknown error')}"
             )
         return reply_header, reply_arrays
-
-    def request_with_keepalive(
-        self, header: dict, arrays=None, *, tick, allow_pickle: bool = False
-    ) -> tuple[dict, dict]:
-        """:meth:`request` that calls ``tick()`` every poll interval.
-
-        ``tick`` runs in the requesting thread roughly every
-        ``KEEPALIVE_TICK_S`` seconds until the reply lands; a ``tick``
-        that raises aborts the wait (the coordinator uses this to bail
-        out when the heartbeat monitor declares the worker dead).
-        """
-        return self.request(
-            header, arrays, allow_pickle=allow_pickle, tick=tick
-        )
 
     def ping(self) -> dict:
         header, _ = self.request({"op": protocol.OP_PING})
@@ -200,8 +179,7 @@ class RemoteCacheClient:
             peer = self.peers[(rotation + offset) % len(self.peers)]
             try:
                 header, arrays = self._clients[peer].request(
-                    {"op": protocol.OP_KV_GET, "key": key, "namespace": namespace},
-                    allow_pickle=True,
+                    {"op": protocol.OP_KV_GET, "key": key, "namespace": namespace}
                 )
             except DistError:
                 obs.counter("dist_kv_peer_errors_total").inc()

@@ -401,9 +401,7 @@ class DistCoordinator:
                     claims.refresh(fold)
 
             with obs.span("dist_fold", fold=fold, worker=slot.worker_id):
-                reply, _ = slot.job.request_with_keepalive(
-                    header, arrays, tick=tick
-                )
+                reply, _ = slot.job.request(header, arrays, tick=tick)
             if capture:
                 worker_obs = reply.get("worker_obs") or {}
                 with lock:

@@ -170,7 +170,7 @@ def send_message(sock, header: dict, arrays=None) -> int:
     return send_frame(sock, pack_message(header, arrays))
 
 
-def recv_message(sock, *, allow_pickle: bool = False, on_timeout=None):
+def recv_message(sock, *, on_timeout=None):
     """Receive one protocol message; ``None`` on clean peer close.
 
     ``on_timeout`` is forwarded to :func:`repro.utils.wire.recv_frame`:
@@ -180,4 +180,4 @@ def recv_message(sock, *, allow_pickle: bool = False, on_timeout=None):
     payload = recv_frame(sock, on_timeout=on_timeout)
     if payload is None:
         return None
-    return unpack_message(payload, allow_pickle=allow_pickle)
+    return unpack_message(payload)

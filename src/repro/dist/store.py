@@ -26,8 +26,6 @@ for all three extractors.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from repro import obs
@@ -81,24 +79,25 @@ def sharded_gram(
 
     For :class:`ExplicitFeatureKernel` subclasses (GK, SP, WL — the
     paper's three feature maps) each shard's counts come from the cache
-    (memory → disk → remote peer → recompute), are concatenated in shard
-    order, and feed the exact single-GEMM assembly ``kernel.gram`` uses;
-    batch-independent extraction plus the sorted frozen vocabulary make
-    the result bitwise-equal to ``kernel.gram(stream.materialize().graphs)``.
+    (memory → disk → remote peer → recompute); their graph maps
+    (Equation 7) over one vocabulary are stacked in shard order and feed
+    the exact single-GEMM assembly ``kernel.gram`` uses.  Batch-independent
+    extraction, the sorted vocabulary and per-graph sums make the result
+    bitwise-equal to ``kernel.gram(stream.materialize().graphs)``.
     Implicit kernels have no per-shard decomposition — they fall back to
     materializing the dataset.
     """
     if not isinstance(kernel, ExplicitFeatureKernel):
         return kernel.gram(stream.materialize().graphs)
     with obs.span("dist_gram", kernel=kernel.name, shards=num_shards):
-        counts: list = []
+        shards = []
         for shard_index in range(num_shards):
             graphs = shard_graphs(stream, shard_index, num_shards)
-            if not graphs:
-                continue
-            counts.extend(
-                cached_vertex_counts(kernel.extractor, graphs, cache=cache)
-            )
-        vocab = FeatureVocabulary.from_counts(counts)
-        table = vocab.vectorize_rows(chain.from_iterable(counts))
-        return kernel._assemble_gram(table.segment_sums([len(vc) for vc in counts]))
+            if graphs:
+                counts = cached_vertex_counts(kernel.extractor, graphs, cache=cache)
+                shards.append((counts, [g.n for g in graphs]))
+        vocab = FeatureVocabulary.from_counts(counts for counts, _ in shards)
+        phi = np.concatenate(
+            [vocab.vectorize_rows(counts).segment_sums(sizes) for counts, sizes in shards]
+        )
+        return kernel._assemble_gram(phi)

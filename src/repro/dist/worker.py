@@ -158,7 +158,7 @@ class DistWorker:
         try:
             while not self._stop.is_set():
                 try:
-                    message = protocol.recv_message(conn, allow_pickle=True)
+                    message = protocol.recv_message(conn)
                 except (WireError, OSError):
                     break  # torn frame / reset peer: drop the connection
                 if message is None:

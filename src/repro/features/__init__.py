@@ -17,11 +17,12 @@ from repro.features.vertex_maps import (
     wl_stable_colors,
     wl_stable_colors_many,
 )
-from repro.features.vocabulary import FeatureTable, FeatureVocabulary
+from repro.features.vocabulary import FeatureTable, FeatureVocabulary, VertexCounts
 
 __all__ = [
     "FeatureTable",
     "FeatureVocabulary",
+    "VertexCounts",
     "VertexFeatureExtractor",
     "GraphletVertexFeatures",
     "OneHotLabelFeatures",

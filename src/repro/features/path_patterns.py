@@ -13,7 +13,7 @@ feature maps of any substructures".
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 
 from repro.features.vertex_maps import VertexCounts, VertexFeatureExtractor, wl_stable_colors
 from repro.graph.graph import Graph
@@ -45,24 +45,20 @@ class PathPatternVertexFeatures(VertexFeatureExtractor):
         self.depth = depth
         self.super_path_h = super_path_h
 
-    def extract(self, graphs: list[Graph]) -> list[VertexCounts]:
-        out: list[VertexCounts] = []
-        for g in graphs:
-            if self.super_path_h > 0:
-                colors = wl_stable_colors(g, self.super_path_h)[-1]
-            else:
-                colors = [int(l) for l in g.labels]
-            per_vertex: VertexCounts = []
-            for root in range(g.n):
-                per_vertex.append(self._root_paths(g, root, colors))
-            out.append(per_vertex)
-        return out
+    def extract(self, graphs: list[Graph]) -> VertexCounts:
+        return VertexCounts.from_dicts(row for g in graphs for row in self._paths(g))
 
-    def _root_paths(self, g: Graph, root: int, colors: list[int]) -> Counter:
+    def _paths(self, g: Graph) -> list[dict]:
+        if self.super_path_h > 0:
+            colors = wl_stable_colors(g, self.super_path_h)[-1]
+        else:
+            colors = [int(l) for l in g.labels]
+        return [self._root_paths(g, root, colors) for root in range(g.n)]
+
+    def _root_paths(self, g: Graph, root: int, colors: list[int]) -> dict:
         """Count label sequences of root-to-node paths in the truncated
         BFS tree rooted at ``root`` (the root's own label included)."""
-        counter: Counter = Counter()
-        counter[("path", (colors[root],))] += 1
+        counter = {("path", (colors[root],)): 1}
         visited = {root}
         # queue of (vertex, path-of-colors, depth)
         queue: deque = deque([(root, (colors[root],), 0)])
@@ -76,6 +72,7 @@ class PathPatternVertexFeatures(VertexFeatureExtractor):
                     continue
                 visited.add(ui)
                 new_path = path + (colors[ui],)
-                counter[("path", new_path)] += 1
+                key = ("path", new_path)
+                counter[key] = counter.get(key, 0) + 1
                 queue.append((ui, new_path, depth + 1))
         return counter

@@ -1,7 +1,9 @@
 """Vertex feature maps (Definition 3) for the three substructure families.
 
-Each extractor turns a *dataset* (list of graphs) into per-vertex count
-dictionaries over a shared substructure vocabulary:
+Each extractor turns a *dataset* (list of graphs) into one
+:class:`~repro.features.vocabulary.VertexCounts`: a sparse count table
+with a row per vertex, over the ``repr`` strings of the substructure
+keys it found:
 
 * :class:`GraphletVertexFeatures`  — DeepMap-GK: for every vertex, sample
   ``q`` connected graphlets of size ``k`` rooted at it and histogram their
@@ -25,13 +27,11 @@ order — the rows Algorithm 1 gathers and Equation 7 sums.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import Counter
-from itertools import chain
 
 import numpy as np
 
 from repro import obs
-from repro.features.vocabulary import FeatureTable, FeatureVocabulary
+from repro.features.vocabulary import FeatureTable, FeatureVocabulary, VertexCounts
 from repro.graph.graph import Graph
 from repro.graph.graphlets import count_graphlets_per_vertex
 from repro.graph.shortest_paths import apsp_bfs
@@ -39,6 +39,7 @@ from repro.utils.rng import derive_rng
 from repro.utils.validation import check_positive
 
 __all__ = [
+    "VertexCounts",
     "VertexFeatureExtractor",
     "GraphletVertexFeatures",
     "ShortestPathVertexFeatures",
@@ -51,18 +52,16 @@ __all__ = [
     "graph_feature_maps",
 ]
 
-VertexCounts = list[Counter]  # one Counter per vertex
-
 
 class VertexFeatureExtractor(ABC):
-    """Extracts per-vertex substructure count dictionaries for a dataset."""
+    """Extracts per-vertex substructure counts for a dataset."""
 
     #: short identifier used in reports ("gk", "sp", "wl")
     name: str = "base"
 
     @abstractmethod
-    def extract(self, graphs: list[Graph]) -> list[VertexCounts]:
-        """Per-graph list of per-vertex ``Counter`` feature dictionaries."""
+    def extract(self, graphs: list[Graph]) -> VertexCounts:
+        """Counts with one row per vertex of ``graphs``, in graph order."""
 
     def cache_params(self) -> dict:
         """Hyperparameters identifying this extractor for cache keys.
@@ -106,18 +105,14 @@ class GraphletVertexFeatures(VertexFeatureExtractor):
         self.samples = samples
         self.seed = seed
 
-    def extract(self, graphs: list[Graph]) -> list[VertexCounts]:
-        out: list[VertexCounts] = []
+    def extract(self, graphs: list[Graph]) -> VertexCounts:
+        rows: list[dict] = []
         for g in graphs:
-            rng = derive_rng(
-                self.seed,
-                str(g.n).encode(),
-                g.edges.tobytes(),
-                g.labels.tobytes(),
-            )
+            content = (str(g.n).encode(), g.edges.tobytes(), g.labels.tobytes())
+            rng = derive_rng(self.seed, *content)
             hists = count_graphlets_per_vertex(g, self.k, self.samples, rng)
-            out.append([Counter({("glet",) + key: c for key, c in h.items()}) for h in hists])
-        return out
+            rows += ({("glet",) + key: c for key, c in h.items()} for h in hists)
+        return VertexCounts.from_dicts(rows)
 
 
 class ShortestPathVertexFeatures(VertexFeatureExtractor):
@@ -136,45 +131,34 @@ class ShortestPathVertexFeatures(VertexFeatureExtractor):
             check_positive("max_distance", max_distance)
         self.max_distance = max_distance
 
-    def extract(self, graphs: list[Graph]) -> list[VertexCounts]:
-        return [self._extract_one(g) for g in graphs]
+    def extract(self, graphs: list[Graph]) -> VertexCounts:
+        """Vectorized shortest-path triplet binning.
 
-    def _extract_one(self, g: Graph) -> VertexCounts:
-        """Vectorized shortest-path triplet binning for one graph.
-
-        The (source, target-label, distance) histogram is one
-        ``np.unique`` over integer-encoded triplets instead of the
-        reference's O(n^2) Python double loop; Python touches only the
-        distinct triplets when materializing the ``Counter`` objects.
+        The (source, target label, distance) histogram of every vertex is
+        one ``np.unique`` over integer-encoded triplets instead of an
+        O(n^2) Python double loop; a second one finds the distinct
+        ``(l(v), l(t), d)`` keys, and only those become key strings.
         """
-        per_vertex: VertexCounts = [Counter() for _ in range(g.n)]
-        if g.n == 0:
-            return per_vertex
-        dist = apsp_bfs(g)
-        labels = g.labels
-        valid = dist >= 1  # drops the diagonal and unreachable pairs
-        if self.max_distance is not None:
-            valid &= dist <= self.max_distance
-        if not valid.any():
-            return per_vertex
-        v_idx, t_idx = np.nonzero(valid)
-        d = dist[v_idx, t_idx]
-        target_label = labels[t_idx]
-        # Encode (v, l(t), d) triplets as single integers for one unique().
-        n_labels = int(labels.max()) + 1
-        n_dist = int(d.max()) + 1
-        codes = (v_idx * n_labels + target_label) * n_dist + d
-        uniq, counts = np.unique(codes, return_counts=True)
-        d_u = uniq % n_dist
-        rest = uniq // n_dist
-        lt_u = rest % n_labels
-        v_u = rest // n_labels
-        label_list = labels.tolist()
-        for v, l_t, dv, c in zip(
-            v_u.tolist(), lt_u.tolist(), d_u.tolist(), counts.tolist()
-        ):
-            per_vertex[v][("sp", label_list[v], l_t, dv)] = c
-        return per_vertex
+        pairs = [np.zeros((3, 0), dtype=np.int64)]
+        offset = 0
+        for g in graphs:
+            dist = apsp_bfs(g)
+            valid = dist >= 1  # drops the diagonal and unreachable pairs
+            if self.max_distance is not None:
+                valid &= dist <= self.max_distance
+            v_idx, t_idx = np.nonzero(valid)
+            pairs.append(np.stack([v_idx + offset, t_idx + offset, dist[v_idx, t_idx]]))
+            offset += g.n
+        v, t, d = np.concatenate(pairs, axis=1)
+        labels = np.concatenate([np.zeros(0, dtype=np.int64), *(g.labels for g in graphs)])
+        n_dist = int(d.max(initial=0)) + 1
+        radix = (int(labels.max(initial=0)) + 1) * n_dist
+        # Sorted (v, l(t), d) codes list each vertex's row in key order.
+        uniq, counts = np.unique(v * radix + labels[t] * n_dist + d, return_counts=True)
+        owner, rest = np.divmod(uniq, radix)
+        codes, columns = np.unique(labels[owner] * radix + rest, return_inverse=True)
+        keys = [("sp", c // radix, c % radix // n_dist, c % n_dist) for c in codes.tolist()]
+        return VertexCounts.from_entries(owner, offset, columns, keys, counts)
 
 
 class WLVertexFeatures(VertexFeatureExtractor):
@@ -203,18 +187,19 @@ class WLVertexFeatures(VertexFeatureExtractor):
             raise ValueError(f"h must be >= 0, got {h}")
         self.h = h
 
-    def extract(self, graphs: list[Graph]) -> list[VertexCounts]:
-        out: list[VertexCounts] = []
-        for colorings in wl_stable_colors_many(graphs, self.h):
-            # Keys are distinct across iterations (the `it` component), so
-            # every count is exactly 1 and dict.fromkeys builds each
-            # vertex's Counter in one C call.
-            keyed = [
-                [("wl", it, c) for c in colors]
-                for it, colors in enumerate(colorings)
-            ]
-            out.append([Counter(dict.fromkeys(ks, 1)) for ks in zip(*keyed)])
-        return out
+    def extract(self, graphs: list[Graph]) -> VertexCounts:
+        # One np.unique per iteration over every vertex of every graph;
+        # a vertex's row lists its iterations in order, each counted once.
+        keys: list = []
+        columns = []
+        for it, colors in enumerate(_wl_color_arrays(graphs, self.h)):
+            uniq, inverse = np.unique(colors, return_inverse=True)
+            columns.append(inverse + len(keys))
+            keys.extend(("wl", it, c) for c in uniq.tolist())
+        total = columns[0].size
+        owner = np.repeat(np.arange(total), len(columns))
+        columns = np.stack(columns, axis=1).reshape(-1)
+        return VertexCounts.from_entries(owner, total, columns, keys)
 
 
 class OneHotLabelFeatures(VertexFeatureExtractor):
@@ -227,11 +212,12 @@ class OneHotLabelFeatures(VertexFeatureExtractor):
 
     name = "onehot"
 
-    def extract(self, graphs: list[Graph]) -> list[VertexCounts]:
-        out: list[VertexCounts] = []
-        for g in graphs:
-            out.append([Counter({("label", int(g.labels[v])): 1}) for v in range(g.n)])
-        return out
+    def extract(self, graphs: list[Graph]) -> VertexCounts:
+        labels = np.concatenate([np.zeros(0, dtype=np.int64), *(g.labels for g in graphs)])
+        uniq, columns = np.unique(labels, return_inverse=True)
+        keys = [("label", label) for label in uniq.tolist()]
+        owner = np.arange(labels.size)
+        return VertexCounts.from_entries(owner, labels.size, columns, keys)
 
 
 def wl_stable_colors(g: Graph, h: int) -> list[list[int]]:
@@ -338,11 +324,21 @@ def wl_stable_colors_many(graphs: list[Graph], h: int) -> list[list[list[int]]]:
        *order* and the golden CNN fixtures changed once, explicitly,
        when the remap landed.
     """
-    sizes = [g.n for g in graphs]
-    total = sum(sizes)
-    bounds = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    iterations = _wl_color_arrays(graphs, h)
+    bounds = np.cumsum([0] + [g.n for g in graphs])
+    return [
+        [it[a:b].tolist() for it in iterations]
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def _wl_color_arrays(graphs: list[Graph], h: int) -> list[np.ndarray]:
+    """One uint64 color array per iteration 0..h over every vertex of
+    ``graphs`` in graph order (the body of :func:`wl_stable_colors_many`)."""
+    total = sum(g.n for g in graphs)
     if total == 0:
-        return [[[] for _ in range(max(h, 0) + 1)] for _ in graphs]
+        return [np.zeros(0, dtype=np.uint64) for _ in range(max(h, 0) + 1)]
+    bounds = np.cumsum([0] + [g.n for g in graphs])
 
     # One flat CSR over the disjoint union of all graphs.
     degs = np.concatenate([g.degrees() for g in graphs])
@@ -362,22 +358,20 @@ def wl_stable_colors_many(graphs: list[Graph], h: int) -> list[list[list[int]]]:
         sorted_nb = gathered[order]
         colors = _signature_codes(degs_u, colors, sorted_nb, seg_start, max_deg)
         iterations.append(colors)
-    return [
-        [it[a:b].tolist() for it in iterations]
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
+    return iterations
 
 
 def cached_vertex_counts(
     extractor: VertexFeatureExtractor,
     graphs: list[Graph],
     cache=None,
-) -> list[VertexCounts]:
+) -> VertexCounts:
     """``extractor.extract(graphs)`` memoized through the feature-map cache.
 
     The key combines the dataset fingerprint (graph structure + labels,
     in order) with the extractor's class and hyperparameters, so any
-    change to either recomputes.  ``cache=None`` uses the process-wide
+    change to either recomputes.  The payload is the counts' four plain
+    arrays, so a disk hit maps them in place.  ``cache=None`` uses the process-wide
     default (:func:`repro.cache.get_cache`); with no cache configured
     this is exactly ``extractor.extract(graphs)``.
     """
@@ -393,11 +387,13 @@ def cached_vertex_counts(
     )
     payload = cache.get(key, namespace="counts")
     if payload is not None:
-        return list(payload["counts"][0])
+        keys = payload["keys"]
+        arrays = (payload[name] for name in ("indptr", "indices", "values"))
+        return VertexCounts(FeatureTable(*arrays, keys.size), keys)
     counts = extractor.extract(graphs)
-    boxed = np.empty(1, dtype=object)
-    boxed[0] = counts
-    cache.put(key, {"counts": boxed}, namespace="counts")
+    t = counts.table
+    arrays = {"indptr": t.indptr, "indices": t.indices, "values": t.values}
+    cache.put(key, {**arrays, "keys": counts.keys}, namespace="counts")
     return counts
 
 
@@ -418,11 +414,11 @@ def extract_vertex_feature_matrices(
     """
     with obs.span("feature_map", extractor=extractor.name, graphs=len(graphs)):
         with obs.span("extract"):
-            per_graph_counts = cached_vertex_counts(extractor, graphs, cache=cache)
+            counts = cached_vertex_counts(extractor, graphs, cache=cache)
         with obs.span("vocabulary"):
-            vocab = FeatureVocabulary.from_counts(per_graph_counts)
+            vocab = FeatureVocabulary.from_counts([counts])
         with obs.span("vectorize", m=vocab.size):
-            table = vocab.vectorize_rows(chain.from_iterable(per_graph_counts))
+            table = vocab.vectorize_rows(counts)
     return table, vocab
 
 

@@ -9,7 +9,9 @@ embedded in the same space — this is what makes Equation 7 of the paper
 :meth:`FeatureVocabulary.from_counts` is the one place a vocabulary is
 fitted to extracted substructure counts, and
 :meth:`FeatureVocabulary.vectorize_rows` the one place counts become
-numbers: a :class:`FeatureTable`, one compressed sparse row per vertex.
+vocabulary columns: a :class:`FeatureTable`, one compressed sparse row
+per vertex.  Both take :class:`VertexCounts`, the same kind of table
+over one extract call's own keys (``repr`` strings): plain numpy arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from repro.utils.validation import check_positive
 
-__all__ = ["FeatureTable", "FeatureVocabulary"]
+__all__ = ["FeatureTable", "FeatureVocabulary", "VertexCounts"]
 
 
 @dataclass(frozen=True)
@@ -85,88 +87,132 @@ class FeatureTable:
         return np.asarray(sums, dtype=np.float64).reshape(sizes.size, self.m)
 
 
-class FeatureVocabulary:
-    """Bidirectional mapping between feature keys and column indices.
+@dataclass(frozen=True)
+class VertexCounts:
+    """Per-vertex substructure counts of one ``extract`` call (Definition 3).
 
-    Keys are assigned indices in sorted (``repr``) order, so the
-    embedding is independent of graph order within the dataset.
+    ``table`` has one row per vertex of every extracted graph, in graph
+    order; its columns index ``keys``, the ``repr`` strings of the
+    call's own distinct substructure keys (a numpy unicode array, in no
+    particular order).  Within a row, entries keep the order the
+    extractor found the substructures in.
     """
 
+    table: FeatureTable
+    keys: np.ndarray  # (table.m,) unicode key reprs
+
+    @classmethod
+    def from_entries(cls, owner, n_rows, columns, keys, values=None) -> "VertexCounts":
+        """Counts whose entry ``i`` is ``values[i]`` (default 1) of
+        ``keys[columns[i]]`` at vertex ``owner[i]``; entries come vertex
+        by vertex, each vertex's in the order its row keeps.  ``repr``
+        runs once per key."""
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=n_rows), out=indptr[1:])
+        columns = np.asarray(columns, dtype=np.int64)
+        values = np.ones(columns.size) if values is None else np.asarray(values, float)
+        table = FeatureTable(indptr, columns, values, len(keys))
+        return cls(table, np.array([repr(key) for key in keys], dtype=str))
+
+    @classmethod
+    def from_dicts(cls, rows: Iterable[Mapping[Hashable, float]]) -> "VertexCounts":
+        """Counts from one ``{key: count}`` mapping per vertex (the
+        extractors whose dynamic programs build per-vertex dicts)."""
+        columns: dict = {}
+        indptr, indices, values = [0], [], []
+        for row in rows:
+            indices += [columns.setdefault(key, len(columns)) for key in row]
+            values += row.values()
+            indptr.append(len(indices))
+        owner = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        return cls.from_entries(owner, len(indptr) - 1, indices, list(columns), values)
+
+
+class FeatureVocabulary:
+    """The feature space: column ``i`` is the ``i``-th smallest key ``repr``,
+    so the embedding is independent of graph order within the dataset."""
+
     def __init__(self, keys: Iterable[Hashable] = ()) -> None:
-        self._index: dict[Hashable, int] = {
-            k: i for i, k in enumerate(sorted(set(keys), key=repr))
-        }
+        self._keys = np.unique(np.array([repr(k) for k in keys], dtype=str))
+
+    def __setstate__(self, state: dict) -> None:
+        # Vocabularies pickled as a {key: column} dict load as its reprs.
+        index = state.get("_index")
+        if index is not None:
+            ordered = sorted(index, key=index.__getitem__)
+            state = {"_keys": np.array([repr(k) for k in ordered], dtype=str)}
+        self.__dict__.update(state)
 
     @classmethod
     def from_counts(
         cls,
-        counts: Iterable[Iterable[Mapping[Hashable, float]]],
+        counts: Iterable[VertexCounts],
         max_features: int | None = None,
     ) -> "FeatureVocabulary":
-        """Vocabulary over every key of per-graph vertex counts.
+        """Vocabulary over every key of some :class:`VertexCounts`.
 
-        ``counts`` yields one list of per-vertex ``{key: count}`` mappings
-        per graph; it is consumed once, so a streamed pass can feed it
+        ``counts`` is consumed once, so a streamed pass can feed it
         shard by shard.  With ``max_features``, only the most frequent
         keys (by total count) are kept, count ties broken by key
         ``repr`` so the selection is deterministic.
         """
         if max_features is not None:
             check_positive("max_features", max_features)
-        totals: dict = {}
-        for vertex_counts in counts:
-            for counter in vertex_counts:
-                for key, value in counter.items():
-                    totals[key] = totals.get(key, 0) + value
-        keys = totals.keys()
-        if max_features is not None and len(totals) > max_features:
-            keys = sorted(totals, key=lambda k: (-totals[k], repr(k)))
-            keys = keys[:max_features]
-        return cls(keys)
+        vocab, total = cls(), np.zeros(0)
+        for part in counts:
+            # Inserted into the sorted keys part by part: a streamed fit
+            # holds each distinct key once, not every shard's keys at once.
+            keys, inverse = np.unique(part.keys, return_inverse=True)
+            part_total = np.bincount(inverse[part.table.indices], part.table.values, keys.size)
+            cols, seen = vocab._lookup(keys)
+            total[cols[seen]] += part_total[seen]
+            # np.insert keeps the target's string width: widen it first.
+            wide = vocab._keys.astype(np.result_type(vocab._keys, keys), copy=False)
+            vocab._keys = np.insert(wide, cols[~seen], keys[~seen])
+            total = np.insert(total, cols[~seen], part_total[~seen])
+        if max_features is not None and vocab.size > max_features:
+            # A stable sort over repr-sorted keys breaks count ties by repr.
+            keep = np.argsort(-total, kind="stable")[:max_features]
+            vocab._keys = np.sort(vocab._keys[keep])
+        return vocab
 
     # ------------------------------------------------------------------
     @property
     def size(self) -> int:
         """Number of features ``m``."""
-        return len(self._index)
+        return self._keys.size
 
     def __len__(self) -> int:
         return self.size
 
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._index
+    def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each key repr's column, and whether this vocabulary has it."""
+        cols = np.searchsorted(self._keys, keys)
+        known = cols < self.size
+        known[known] = self._keys[cols[known]] == keys[known]
+        return cols, known
 
-    def index(self, key: Hashable) -> int:
-        """Column index of ``key``; raises ``KeyError`` for unknown keys."""
-        return self._index[key]
-
-    def keys(self) -> list[Hashable]:
-        """All keys in column order."""
-        return sorted(self._index, key=self._index.__getitem__)
+    def keys(self) -> list[str]:
+        """All key reprs in column order."""
+        return self._keys.tolist()
 
     # ------------------------------------------------------------------
-    def vectorize_rows(self, rows: Iterable[Mapping[Hashable, float]]) -> FeatureTable:
-        """Embed an iterable of ``{key: count}`` mappings as a :class:`FeatureTable`.
+    def vectorize_rows(self, counts: VertexCounts) -> FeatureTable:
+        """``counts.table`` with its columns moved to this vocabulary's.
 
-        Row ``i`` of the table is mapping ``i``.  Keys absent from the
-        vocabulary are ignored (they correspond to substructures never
-        seen at fit time — the standard convention for explicit-feature
-        graph kernels applied to held-out graphs).
+        Keys absent from the vocabulary are dropped (they correspond to
+        substructures never seen at fit time — the standard convention
+        for explicit-feature graph kernels applied to held-out graphs).
+        Each row keeps its entries' order.
         """
-        get = self._index.get
-        indptr = [0]
-        indices: list[int] = []
-        values: list[float] = []
-        for counts in rows:
-            for key, value in counts.items():
-                col = get(key)
-                if col is not None:
-                    indices.append(col)
-                    values.append(value)
-            indptr.append(len(indices))
+        table = counts.table
+        cols, known = self._lookup(counts.keys)
+        hit = known[table.indices]
+        kept = np.zeros(hit.size + 1, dtype=np.int64)
+        np.cumsum(hit, out=kept[1:])
         return FeatureTable(
-            np.asarray(indptr, dtype=np.int64),
-            np.asarray(indices, dtype=np.int64),
-            np.asarray(values, dtype=np.float64),
+            kept[table.indptr],
+            cols[table.indices[hit]].astype(np.int64, copy=False),
+            table.values[hit],
             self.size,
         )

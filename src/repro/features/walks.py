@@ -19,7 +19,7 @@ Two extractors:
 
 from __future__ import annotations
 
-from collections import Counter
+import numpy as np
 
 from repro.features.vertex_maps import VertexCounts, VertexFeatureExtractor
 from repro.graph.graph import Graph
@@ -42,30 +42,30 @@ class LabeledWalkVertexFeatures(VertexFeatureExtractor):
         check_positive("length", length)
         self.length = length
 
-    def extract(self, graphs: list[Graph]) -> list[VertexCounts]:
-        out: list[VertexCounts] = []
-        for g in graphs:
-            labels = [int(l) for l in g.labels]
-            per_vertex: VertexCounts = []
-            for start in range(g.n):
-                counter: Counter = Counter()
-                # DP over walk endpoints: vertex -> {label sequence: count}.
-                current: dict[int, dict[tuple, int]] = {
-                    start: {(labels[start],): 1}
-                }
-                for _ in range(self.length):
-                    nxt: dict[int, dict[tuple, int]] = {}
-                    for v, sequences in current.items():
-                        for u in g.neighbors(v):
-                            ui = int(u)
-                            bucket = nxt.setdefault(ui, {})
-                            for seq, count in sequences.items():
-                                key = seq + (labels[ui],)
-                                bucket[key] = bucket.get(key, 0) + count
-                                counter[("walk", key)] += count
-                    current = nxt
-                per_vertex.append(counter)
-            out.append(per_vertex)
+    def extract(self, graphs: list[Graph]) -> VertexCounts:
+        return VertexCounts.from_dicts(row for g in graphs for row in self._walks(g))
+
+    def _walks(self, g: Graph) -> list[dict[tuple, int]]:
+        """Per start vertex, ``{("walk", label sequence): count}``."""
+        labels = [int(l) for l in g.labels]
+        out = []
+        for start in range(g.n):
+            found: dict[tuple, int] = {}
+            # DP over walk endpoints: vertex -> {label sequence: count}.
+            current: dict[int, dict[tuple, int]] = {start: {(labels[start],): 1}}
+            for _ in range(self.length):
+                nxt: dict[int, dict[tuple, int]] = {}
+                for v, sequences in current.items():
+                    for u in g.neighbors(v):
+                        ui = int(u)
+                        bucket = nxt.setdefault(ui, {})
+                        for seq, count in sequences.items():
+                            key = seq + (labels[ui],)
+                            bucket[key] = bucket.get(key, 0) + count
+                            walk = ("walk", key)
+                            found[walk] = found.get(walk, 0) + count
+                current = nxt
+            out.append(found)
         return out
 
 
@@ -85,16 +85,16 @@ class ReturnProbabilityVertexFeatures(VertexFeatureExtractor):
         self.steps = steps
         self.bins = bins
 
-    def extract(self, graphs: list[Graph]) -> list[VertexCounts]:
-        out: list[VertexCounts] = []
-        for g in graphs:
-            rp = return_probability_features(g, self.steps)
-            per_vertex: VertexCounts = []
-            for v in range(g.n):
-                counter: Counter = Counter()
-                for s in range(self.steps):
-                    level = min(int(rp[v, s] * self.bins), self.bins - 1)
-                    counter[("rp", s + 1, level)] += 1
-                per_vertex.append(counter)
-            out.append(per_vertex)
-        return out
+    def extract(self, graphs: list[Graph]) -> VertexCounts:
+        # Row v lists steps 1..S in order; code s * bins + level names
+        # the key ("rp", s + 1, level).
+        levels = np.concatenate(
+            [np.zeros((0, self.steps))]
+            + [return_probability_features(g, self.steps) for g in graphs]
+        )
+        levels = np.minimum((levels * self.bins).astype(np.int64), self.bins - 1)
+        codes = (np.arange(self.steps) * self.bins + levels).reshape(-1)
+        uniq, columns = np.unique(codes, return_inverse=True)
+        keys = [("rp", c // self.bins + 1, c % self.bins) for c in uniq.tolist()]
+        owner = np.repeat(np.arange(len(levels)), self.steps)
+        return VertexCounts.from_entries(owner, len(levels), columns, keys)

@@ -23,8 +23,9 @@ import numpy as np
 from repro.features.vertex_maps import (
     VertexFeatureExtractor,
     WLVertexFeatures,
-    graph_feature_maps,
+    extract_vertex_feature_matrices,
 )
+from repro.features.vocabulary import FeatureTable
 from repro.graph.graph import Graph
 from repro.kernels.base import GraphKernel
 from repro.utils.rng import as_rng
@@ -139,21 +140,20 @@ class DeepGraphKernel(GraphKernel):
         self.embedding = embedding if embedding is not None else SkipGramEmbedding()
 
     def gram(self, graphs: list[Graph]) -> np.ndarray:
-        phi, vocab = graph_feature_maps(graphs, self.extractor)
-        sentences = self._sentences(graphs, vocab)
-        e = self.embedding.fit(sentences, vocab.size)
-        projected = phi @ e
+        table, vocab = extract_vertex_feature_matrices(graphs, self.extractor)
+        sizes = [g.n for g in graphs]
+        e = self.embedding.fit(self._sentences(table, sizes), vocab.size)
+        projected = table.segment_sums(sizes) @ e
         return projected @ projected.T
 
-    def _sentences(self, graphs: list[Graph], vocab) -> list[list[int]]:
-        """One sentence per graph: its substructure tokens in vertex order."""
-        per_graph_counts = self.extractor.extract(graphs)
-        sentences: list[list[int]] = []
-        for vertex_counts in per_graph_counts:
-            sentence: list[int] = []
-            for counter in vertex_counts:
-                for key, count in sorted(counter.items(), key=lambda kv: repr(kv[0])):
-                    if key in vocab:
-                        sentence.extend([vocab.index(key)] * int(count))
-            sentences.append(sentence)
-        return sentences
+    @staticmethod
+    def _sentences(table: FeatureTable, sizes: list[int]) -> list[list[int]]:
+        """One sentence per graph: vertex by vertex, each vertex's columns
+        in ascending (key ``repr``) order, each repeated by its count."""
+        rows = np.repeat(np.arange(len(table)), np.diff(table.indptr))
+        order = np.lexsort((table.indices, rows))
+        repeats = table.values[order].astype(np.int64)
+        tokens = np.repeat(table.indices[order], repeats)
+        graph = np.repeat(np.arange(len(sizes)), sizes)[rows]
+        ends = np.cumsum(np.bincount(graph, repeats, len(sizes))).astype(np.int64)
+        return [part.tolist() for part in np.split(tokens, ends[:-1])]

@@ -110,15 +110,18 @@ class Conv1D(Layer):
             out = out + self.bias.value
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward_params(self, grad: np.ndarray) -> None:
         assert self._cols is not None
-        assert self._in_shape is not None
-        batch, length, channels = self._in_shape
         cols2 = self._cols.reshape(-1, self._cols.shape[-1])
         grad2 = grad.reshape(-1, grad.shape[-1])
         self.weight.grad += cols2.T @ grad2
         if self.bias is not None:
             self.bias.grad += grad2.sum(axis=0)
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        assert self._in_shape is not None
+        batch, length, channels = self._in_shape
+        self.backward_params(grad)
         dcols = grad @ self.weight.value.T
         dx = np.zeros(self._in_shape, dtype=np.float64)
         l_out = grad.shape[1]

@@ -98,6 +98,12 @@ class Layer(ABC):
         """Propagate ``d loss / d output`` to ``d loss / d input``,
         accumulating parameter gradients along the way."""
 
+    def backward_params(self, grad: np.ndarray) -> None:
+        """Accumulate parameter gradients only: :meth:`backward` for the
+        first layer of a :class:`Sequential`, whose input gradient nobody
+        reads.  Layers override it where that gradient is costly."""
+        self.backward(grad)
+
     def parameters(self) -> list[Parameter]:
         """Trainable parameters of this layer (default: none)."""
         return []
@@ -177,8 +183,9 @@ class Sequential(Network):
         return x
 
     def backward(self, grad: np.ndarray) -> None:
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
+        self.layers[0].backward_params(grad)  # d loss / d data is never read
 
     def parameters(self) -> list[Parameter]:
         return [p for layer in self.layers for p in layer.parameters()]

@@ -10,9 +10,9 @@ mirrors ``DeepMapClassifier.fit`` stage for stage:
    ``FeatureVocabulary.from_counts`` the materialized fit calls; the
    substructure totals, the ``max_features`` truncation and the frozen
    vocabulary come out identical because the extractors are
-   batch-independent, integer totals are order-exact, and
-   ``FeatureVocabulary.freeze`` sorts keys (insertion order never
-   matters).  The same pass tracks ``max(g.n)`` for the encoder width.
+   batch-independent, integer totals are order-exact, and the
+   vocabulary sorts its key reprs (arrival order never matters).  The
+   same pass tracks ``max(g.n)`` for the encoder width.
 2. **Encode pass** — each shard's encoding is built once and spilled to
    the feature-map cache (:class:`~repro.stream.shards.EncodedShardStore`);
    per-shard encodes equal slices of the full encode (the pipeline's
@@ -99,7 +99,7 @@ def fit_stream(
                 nonlocal max_nodes
                 for shard in stream.iter_shards(shard_size):
                     max_nodes = max(max_nodes, max(g.n for g in shard.graphs))
-                    yield from cached_vertex_counts(
+                    yield cached_vertex_counts(
                         model.extractor, shard.graphs, cache=cache
                     )
 

@@ -29,7 +29,6 @@ size.
 from __future__ import annotations
 
 import tempfile
-from itertools import chain
 
 import numpy as np
 
@@ -158,7 +157,7 @@ class EncodedShardStore:
             counts = cached_vertex_counts(
                 self.extractor, shard.graphs, cache=self.cache
             )
-            table = self.vocabulary.vectorize_rows(chain.from_iterable(counts))
+            table = self.vocabulary.vectorize_rows(counts)
             self._keys[s] = self.encoder.encode_key(shard.graphs, table)
             encoded = self.encoder.encode(shard.graphs, table, cache=self.cache)
         obs.counter("stream_graphs_encoded_total").inc(stop - start)

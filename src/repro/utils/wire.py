@@ -20,21 +20,18 @@ runtime (:mod:`repro.dist`) cannot drift apart on framing:
 On top of the byte layer, :func:`pack_message` / :func:`unpack_message`
 give the dist protocol and the serve process pool's pipe
 (:mod:`repro.serve.pool`) their payload shape: a JSON-able header dict
-plus a ``{name: ndarray}`` tensor dict.  Numeric arrays travel as raw
+plus a ``{name: ndarray}`` tensor dict.  Every array travels as raw
 little/native-endian C-order bytes described by a manifest (dtype,
-shape) — no pickle on the hot tensor path.  Object-dtype arrays (the
-cache's boxed vertex-count payloads) fall back to pickle and are only
-decoded when the receiver passes ``allow_pickle=True``; like
-:mod:`repro.core.persistence`, the checksum authenticates *integrity*,
-not provenance, so only unpack pickled payloads from peers you trust
-(the dist protocol is explicit about this — see docs/DISTRIBUTED.md).
+shape); there is no pickle anywhere on the wire.  Object-dtype arrays
+cannot be sent, and a segment in any other encoding is refused, so
+decoding a message never runs code.  The checksum authenticates
+*integrity*, not provenance (see docs/DISTRIBUTED.md).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 import struct
 
 import numpy as np
@@ -215,32 +212,22 @@ def recv_frame(
 def pack_message(header: dict, arrays: dict[str, np.ndarray] | None = None) -> bytes:
     """Encode ``(header, arrays)`` as one frame payload.
 
-    ``header`` must be JSON-able; ``arrays`` maps names to ndarrays.
-    Numeric arrays are shipped as described raw bytes; object-dtype
-    arrays are pickled (flagged in the manifest, opt-in on decode).
+    ``header`` must be JSON-able; ``arrays`` maps names to ndarrays,
+    shipped as described raw bytes.  Raises :class:`WireError` on an
+    object-dtype array, which has no raw form.
     """
     arrays = arrays or {}
     manifest: list[dict] = []
     segments: list[bytes] = []
     for name in sorted(arrays):
-        arr = np.asarray(arrays[name])
+        arr = np.ascontiguousarray(arrays[name])
         if arr.dtype.hasobject:
-            blob = pickle.dumps(arr, protocol=pickle.HIGHEST_PROTOCOL)
-            manifest.append(
-                {"name": name, "encoding": "pickle", "nbytes": len(blob)}
-            )
-        else:
-            arr = np.ascontiguousarray(arr)
-            blob = arr.tobytes()
-            manifest.append(
-                {
-                    "name": name,
-                    "encoding": "raw",
-                    "dtype": arr.dtype.str,
-                    "shape": list(arr.shape),
-                    "nbytes": len(blob),
-                }
-            )
+            raise WireError(f"array {name!r} has object dtype: no raw form")
+        blob = arr.tobytes()
+        manifest.append(
+            {"name": name, "encoding": "raw", "dtype": arr.dtype.str,
+             "shape": list(arr.shape), "nbytes": len(blob)}
+        )
         segments.append(blob)
     try:
         head = json.dumps(
@@ -251,14 +238,11 @@ def pack_message(header: dict, arrays: dict[str, np.ndarray] | None = None) -> b
     return struct.pack(">I", len(head)) + head + b"".join(segments)
 
 
-def unpack_message(
-    payload: bytes, *, allow_pickle: bool = False
-) -> tuple[dict, dict[str, np.ndarray]]:
+def unpack_message(payload: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     """Decode a :func:`pack_message` payload into ``(header, arrays)``.
 
-    Pickled (object-dtype) segments are refused unless ``allow_pickle``
-    — receivers that only ever expect numeric tensors keep unpickling
-    switched off entirely.
+    Only ``raw`` segments decode; any other encoding (the pickled
+    segments older builds sent) raises :class:`WireError`.
     """
     if len(payload) < 4:
         raise WireError("message truncated before header length")
@@ -286,27 +270,17 @@ def unpack_message(
             raise WireError(f"array {name!r} extends past the message end")
         blob = payload[offset : offset + nbytes]
         offset += nbytes
-        if encoding == "raw":
-            try:
-                dtype = np.dtype(entry["dtype"])
-                shape = tuple(int(d) for d in entry["shape"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise WireError(f"bad raw-array manifest for {name!r}: {exc}") from None
-            expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
-            if dtype.hasobject or expected != nbytes:
-                raise WireError(f"raw-array manifest for {name!r} is inconsistent")
-            arrays[name] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
-        elif encoding == "pickle":
-            if not allow_pickle:
-                raise WireError(
-                    f"array {name!r} is pickled; receiver forbids pickle"
-                )
-            try:
-                arrays[name] = pickle.loads(blob)
-            except Exception as exc:
-                raise WireError(f"unpicklable array {name!r}: {exc}") from None
-        else:
-            raise WireError(f"unknown array encoding {encoding!r}")
+        if encoding != "raw":
+            raise WireError(f"array {name!r} is {encoding!r}-encoded; only raw decodes")
+        try:
+            dtype = np.dtype(entry["dtype"])
+            shape = tuple(int(d) for d in entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise WireError(f"bad raw-array manifest for {name!r}: {exc}") from None
+        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
+        if dtype.hasobject or expected != nbytes:
+            raise WireError(f"raw-array manifest for {name!r} is inconsistent")
+        arrays[name] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
     if offset != len(payload):
         raise WireError(f"{len(payload) - offset} trailing bytes after arrays")
     return header, arrays

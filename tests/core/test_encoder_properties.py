@@ -72,5 +72,5 @@ def test_encoding_independent_of_companions(graphs):
     w = max(g.n for g in graphs)
     encoder = DeepMapEncoder(r=2, w=w)
     full = encoder.encode(graphs, table)
-    solo = encoder.encode(graphs[:1], vocab.vectorize_rows(extractor.extract(graphs[:1])[0]))
+    solo = encoder.encode(graphs[:1], vocab.vectorize_rows(extractor.extract(graphs[:1])))
     assert np.allclose(dense_input(full)[0], dense_input(solo)[0])

@@ -7,6 +7,7 @@ from repro.core import DeepMapEncoder
 from repro.features import (
     FeatureTable,
     FeatureVocabulary,
+    VertexCounts,
     WLVertexFeatures,
     extract_vertex_feature_matrices,
 )
@@ -46,8 +47,7 @@ class TestShapes:
         _, vocab = extract_vertex_feature_matrices(train, WLVertexFeatures(h=1))
         encoder = DeepMapEncoder(r=2).fit(train)
         big = [path_graph(9)]
-        counts = WLVertexFeatures(h=1).extract(big)
-        big_table = vocab.vectorize_rows(counts[0])
+        big_table = vocab.vectorize_rows(WLVertexFeatures(h=1).extract(big))
         enc = encoder.encode(big, big_table)
         assert dense_input(enc).shape[1] == 4 * 2
 
@@ -132,7 +132,7 @@ class TestValidation:
         graphs = [path_graph(3)]
         with pytest.raises(ValueError, match="align"):
             DeepMapEncoder(r=2).fit(graphs).encode(
-                graphs, FeatureVocabulary().vectorize_rows([])
+                graphs, FeatureVocabulary().vectorize_rows(VertexCounts.from_dicts([]))
             )
 
     def test_rejects_wrong_matrix_shape(self):

@@ -207,17 +207,64 @@ def test_pack_message_preserves_noncontiguous_views():
     np.testing.assert_array_equal(arrays["v"], view)
 
 
-def test_object_arrays_require_allow_pickle():
-    from collections import Counter
-
+def test_pack_message_refuses_object_arrays():
     boxed = np.empty(1, dtype=object)
-    boxed[0] = [Counter({"a": 1}), Counter({"b": 2})]
-    blob = pack_message({"op": "kv"}, {"counts": boxed})
+    boxed[0] = [{"a": 1}, {"b": 2}]
+    with pytest.raises(WireError, match="object dtype"):
+        pack_message({"op": "kv"}, {"counts": boxed, "ok": np.arange(3)})
+
+
+class _CreatesFile:
+    """Unpickling this runs ``open(path, "w")``: a canary that shows
+    whether a receiver ever unpickles what a peer sent."""
+
+    def __init__(self, path) -> None:
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def _pickled_message(header: dict, obj) -> bytes:
+    """A message as older builds framed object arrays: a ``pickle``
+    segment next to the JSON header."""
+    import json
+    import pickle
+
+    blob = pickle.dumps(obj)
+    manifest = [{"name": "x", "encoding": "pickle", "nbytes": len(blob)}]
+    head = json.dumps({"header": header, "arrays": manifest}).encode()
+    return struct.pack(">I", len(head)) + head + blob
+
+
+def test_unpack_refuses_pickled_segments(tmp_path):
+    canary = tmp_path / "unpickled"
     with pytest.raises(WireError, match="pickle"):
-        unpack_message(blob)
-    header, arrays = unpack_message(blob, allow_pickle=True)
-    assert header == {"op": "kv"}
-    assert arrays["counts"][0] == [Counter({"a": 1}), Counter({"b": 2})]
+        unpack_message(_pickled_message({"op": "kv"}, _CreatesFile(canary)))
+    assert not canary.exists()
+
+
+def test_worker_never_unpickles_a_request(worker_fleet, tmp_path):
+    """A ``ping`` carrying a pickled canary is refused on the request
+    path: the connection drops, nothing runs, and the worker keeps
+    answering new connections."""
+    from repro.dist.client import WorkerClient
+
+    _, [(host, port)] = worker_fleet(1)
+    canary = tmp_path / "unpickled"
+    with socket.create_connection((host, port), timeout=10) as sock:
+        send_frame(sock, _pickled_message({"op": "ping"}, _CreatesFile(canary)))
+        sock.settimeout(10)
+        try:
+            assert recv_frame(sock) is None  # dropped without a reply
+        except (WireError, ConnectionResetError):
+            pass
+    assert not canary.exists()
+    client = WorkerClient(host, port)
+    try:
+        assert client.ping()["ok"] is True
+    finally:
+        client.close()
 
 
 def test_unpack_rejects_trailing_and_truncated_bytes():

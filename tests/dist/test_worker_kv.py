@@ -67,8 +67,7 @@ def test_kv_put_get_roundtrip(worker_fleet):
             payload,
         )
         header, arrays = client.request(
-            {"op": protocol.OP_KV_GET, "key": key, "namespace": "counts"},
-            allow_pickle=True,
+            {"op": protocol.OP_KV_GET, "key": key, "namespace": "counts"}
         )
         assert header["hit"] is True
         np.testing.assert_array_equal(arrays["a"], payload["a"])

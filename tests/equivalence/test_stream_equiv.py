@@ -10,7 +10,6 @@ same cache keys — for every scale factor, dataset seed, shard size
 from __future__ import annotations
 
 import dataclasses
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -134,16 +133,11 @@ def test_sharded_encode_equals_full_encode(graphs, shard_size):
     graphs = list(graphs) + [Graph(1, [], [0])]
     model = fresh_model()
     counts = cached_vertex_counts(model.extractor, graphs)
-    totals: dict = {}
-    for vertex_counts in counts:
-        for counter in vertex_counts:
-            for key, value in counter.items():
-                totals[key] = totals.get(key, 0) + value
-    vocab = FeatureVocabulary(totals.keys())
+    vocab = FeatureVocabulary.from_counts([counts])
     encoder = DeepMapEncoder(r=model.r, ordering=model.ordering).fit_width(
         [max(g.n for g in graphs)]
     )
-    table = vocab.vectorize_rows(chain.from_iterable(counts))
+    table = vocab.vectorize_rows(counts)
     full = dense_input(encoder.encode(graphs, table))
 
     cache, spool = make_spool_cache()
@@ -171,12 +165,7 @@ def test_streamed_cache_keys_match_materialized_shard_keys():
     stream = make_dataset("MUTAG", scale=0.02, seed=0, stream=True)
     model = fresh_model()
     counts = cached_vertex_counts(model.extractor, eager.graphs)
-    totals: dict = {}
-    for vertex_counts in counts:
-        for counter in vertex_counts:
-            for key, value in counter.items():
-                totals[key] = totals.get(key, 0) + value
-    vocab = FeatureVocabulary(totals.keys())
+    vocab = FeatureVocabulary.from_counts([counts])
     encoder = DeepMapEncoder(r=model.r, ordering=model.ordering).fit_width(
         [max(g.n for g in eager.graphs)]
     )
@@ -192,5 +181,7 @@ def test_streamed_cache_keys_match_materialized_shard_keys():
             stop = min(start + shard_size, len(eager.graphs))
             assert store._keys[s] == encoder.encode_key(
                 eager.graphs[start:stop],
-                vocab.vectorize_rows(chain.from_iterable(counts[start:stop])),
+                vocab.vectorize_rows(
+                    cached_vertex_counts(model.extractor, eager.graphs[start:stop])
+                ),
             )

@@ -36,7 +36,7 @@ from tests.equivalence.conftest import (
     graph_batches,
     shuffled_edge_graphs,
 )
-from tests.oracles.features import _reference_wl_stable_colors
+from tests.oracles.features import _reference_wl_stable_colors, extract_counters
 
 
 def _same_partition(a: list, b: list) -> bool:
@@ -146,7 +146,7 @@ class TestExtractor:
         """Extractor counters are exactly the ('wl', it, color) singles
         of the batched color tables (values match the new code scheme;
         the partition itself is pinned against the oracle above)."""
-        got = WLVertexFeatures(h=h).extract(graphs)
+        got = extract_counters(WLVertexFeatures(h=h), graphs)
         tables = wl_stable_colors_many(graphs, h)
         expected = []
         for g, colorings in zip(graphs, tables):
@@ -162,6 +162,6 @@ class TestExtractor:
     @given(random_graphs(max_nodes=8))
     def test_every_vertex_counts_once_per_iteration(self, g):
         h = 2
-        for counter in WLVertexFeatures(h=h).extract([g])[0]:
+        for counter in extract_counters(WLVertexFeatures(h=h), [g])[0]:
             assert sum(counter.values()) == h + 1
             assert set(counter.values()) == {1}

@@ -16,32 +16,36 @@ from repro.features import (
 from repro.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 
 from tests.conftest import random_graphs
-from tests.oracles.features import _reference_wl_joint_refinement, graph_matrices
+from tests.oracles.features import (
+    _reference_wl_joint_refinement,
+    extract_counters,
+    graph_matrices,
+)
 
 
 class TestShortestPathFeatures:
     def test_path_counts(self):
         g = Graph(3, [(0, 1), (1, 2)], [0, 1, 0])
-        counts = ShortestPathVertexFeatures().extract([g])[0]
+        counts = extract_counters(ShortestPathVertexFeatures(), [g])[0]
         # Vertex 0 (label 0): sees label 1 at d=1, label 0 at d=2.
         assert counts[0][("sp", 0, 1, 1)] == 1
         assert counts[0][("sp", 0, 0, 2)] == 1
 
     def test_disconnected_pairs_skipped(self):
         g = Graph(3, [(0, 1)], [0, 0, 0])
-        counts = ShortestPathVertexFeatures().extract([g])[0]
+        counts = extract_counters(ShortestPathVertexFeatures(), [g])[0]
         assert sum(counts[0].values()) == 1  # only vertex 1 reachable
 
     def test_max_distance_truncates(self):
         g = path_graph(5)
-        full = ShortestPathVertexFeatures().extract([g])[0]
-        trunc = ShortestPathVertexFeatures(max_distance=1).extract([g])[0]
+        full = extract_counters(ShortestPathVertexFeatures(), [g])[0]
+        trunc = extract_counters(ShortestPathVertexFeatures(max_distance=1), [g])[0]
         assert sum(trunc[0].values()) < sum(full[0].values())
         assert sum(trunc[0].values()) == 1  # one neighbor at the path end
 
     def test_complete_graph_all_distance_one(self):
         g = complete_graph(4)
-        counts = ShortestPathVertexFeatures().extract([g])[0]
+        counts = extract_counters(ShortestPathVertexFeatures(), [g])[0]
         for c in counts:
             assert set(k[3] for k in c) == {1}
 
@@ -53,21 +57,21 @@ class TestShortestPathFeatures:
 class TestWLFeatures:
     def test_iteration_zero_is_label(self):
         g = Graph(2, [(0, 1)], [3, 4])
-        counts = WLVertexFeatures(h=0).extract([g])[0]
+        counts = extract_counters(WLVertexFeatures(h=0), [g])[0]
         assert counts[0][("wl", 0, 3)] == 1
         assert counts[1][("wl", 0, 4)] == 1
 
     def test_one_count_per_iteration(self):
         g = cycle_graph(5)
-        counts = WLVertexFeatures(h=3).extract([g])[0]
+        counts = extract_counters(WLVertexFeatures(h=3), [g])[0]
         assert all(sum(c.values()) == 4 for c in counts)
 
     def test_cross_graph_alignment(self):
         """Identical subtree patterns in different graphs share keys."""
         g1 = path_graph(3)
         g2 = path_graph(3)
-        c1 = WLVertexFeatures(h=2).extract([g1])[0]
-        c2 = WLVertexFeatures(h=2).extract([g2])[0]
+        c1 = extract_counters(WLVertexFeatures(h=2), [g1])[0]
+        c2 = extract_counters(WLVertexFeatures(h=2), [g2])[0]
         assert c1[1] == c2[1]  # middle vertices identical
 
     def test_stable_colors_deterministic(self):
@@ -88,20 +92,20 @@ class TestWLFeatures:
 class TestGraphletFeatures:
     def test_sample_budget(self):
         g = cycle_graph(6)
-        counts = GraphletVertexFeatures(k=3, samples=7, seed=0).extract([g])[0]
+        counts = extract_counters(GraphletVertexFeatures(k=3, samples=7, seed=0), [g])[0]
         assert all(sum(c.values()) == 7 for c in counts)
 
     def test_deterministic(self):
         g = cycle_graph(6)
         e = GraphletVertexFeatures(k=4, samples=5, seed=9)
-        assert e.extract([g]) == e.extract([g])
+        assert extract_counters(e, [g]) == extract_counters(e, [g])
 
     def test_order_independent_per_graph(self):
         """Each graph's features do not depend on dataset ordering."""
         g1, g2 = cycle_graph(6), star_graph(6)
         e = GraphletVertexFeatures(k=3, samples=6, seed=1)
-        both = e.extract([g1, g2])
-        flipped = e.extract([g2, g1])
+        both = extract_counters(e, [g1, g2])
+        flipped = extract_counters(e, [g2, g1])
         assert both[0] == flipped[1]
         assert both[1] == flipped[0]
 
@@ -115,7 +119,7 @@ class TestOneHotFeatures:
         from repro.features import OneHotLabelFeatures
 
         g = Graph(3, [(0, 1)], [5, 7, 5])
-        counts = OneHotLabelFeatures().extract([g])[0]
+        counts = extract_counters(OneHotLabelFeatures(), [g])[0]
         assert all(sum(c.values()) == 1 for c in counts)
         assert counts[0] == counts[2]
         assert counts[0] != counts[1]

@@ -11,13 +11,13 @@ from repro.features import (
 )
 from repro.graph import Graph, complete_graph, cycle_graph, path_graph, star_graph
 
-from tests.oracles.features import graph_matrices
+from tests.oracles.features import extract_counters, graph_matrices
 
 
 class TestLabeledWalks:
     def test_single_edge_counts(self):
         g = Graph(2, [(0, 1)], [0, 1])
-        counts = LabeledWalkVertexFeatures(length=2).extract([g])[0]
+        counts = extract_counters(LabeledWalkVertexFeatures(length=2), [g])[0]
         # From vertex 0: walks (0,1) and (0,1,0).
         assert counts[0][("walk", (0, 1))] == 1
         assert counts[0][("walk", (0, 1, 0))] == 1
@@ -27,7 +27,7 @@ class TestLabeledWalks:
         """Total walks of length k from v == row sum of A^k."""
         g = complete_graph(4)
         length = 3
-        counts = LabeledWalkVertexFeatures(length=length).extract([g])[0]
+        counts = extract_counters(LabeledWalkVertexFeatures(length=length), [g])[0]
         a = g.adjacency_matrix()
         expected = sum(np.linalg.matrix_power(a, k).sum(axis=1) for k in (1, 2, 3))
         totals = [sum(c.values()) for c in counts]
@@ -35,7 +35,7 @@ class TestLabeledWalks:
 
     def test_revisits_allowed(self):
         g = path_graph(2)
-        counts = LabeledWalkVertexFeatures(length=4).extract([g])[0]
+        counts = extract_counters(LabeledWalkVertexFeatures(length=4), [g])[0]
         # Walks bounce on the single edge: one walk per length.
         assert sum(counts[0].values()) == 4
 
@@ -69,23 +69,23 @@ class TestLabeledWalks:
 class TestReturnProbabilityFeatures:
     def test_one_count_per_step(self):
         g = cycle_graph(6)
-        counts = ReturnProbabilityVertexFeatures(steps=5).extract([g])[0]
+        counts = extract_counters(ReturnProbabilityVertexFeatures(steps=5), [g])[0]
         assert all(sum(c.values()) == 5 for c in counts)
 
     def test_symmetric_vertices_identical(self):
         g = cycle_graph(8)
-        counts = ReturnProbabilityVertexFeatures(steps=6).extract([g])[0]
+        counts = extract_counters(ReturnProbabilityVertexFeatures(steps=6), [g])[0]
         assert all(c == counts[0] for c in counts)
 
     def test_role_separation_on_star(self):
         g = star_graph(6)
-        counts = ReturnProbabilityVertexFeatures(steps=4).extract([g])[0]
+        counts = extract_counters(ReturnProbabilityVertexFeatures(steps=4), [g])[0]
         assert counts[0] != counts[1]  # hub vs leaf
         assert counts[1] == counts[2]  # leaf vs leaf
 
     def test_bins_bounded(self):
         g = path_graph(2)  # p returns with probability 1 at even steps
-        counts = ReturnProbabilityVertexFeatures(steps=2, bins=4).extract([g])[0]
+        counts = extract_counters(ReturnProbabilityVertexFeatures(steps=2, bins=4), [g])[0]
         for c in counts:
             for (_, _, level) in c:
                 assert 0 <= level < 4

@@ -15,12 +15,13 @@ from repro.kernels import (
 )
 
 from tests.conftest import random_graphs
+from tests.oracles.features import extract_counters
 
 
 class TestPathPatternFeatures:
     def test_counts_on_path(self):
         g = Graph(3, [(0, 1), (1, 2)], [0, 1, 0])
-        counts = PathPatternVertexFeatures(depth=2).extract([g])[0]
+        counts = extract_counters(PathPatternVertexFeatures(depth=2), [g])[0]
         root0 = counts[0]
         # root 0: paths (0), (0,1), (0,1,0)
         assert root0[("path", (0,))] == 1
@@ -30,21 +31,21 @@ class TestPathPatternFeatures:
 
     def test_depth_truncates(self):
         g = path_graph(6)
-        shallow = PathPatternVertexFeatures(depth=1).extract([g])[0]
-        deep = PathPatternVertexFeatures(depth=4).extract([g])[0]
+        shallow = extract_counters(PathPatternVertexFeatures(depth=1), [g])[0]
+        deep = extract_counters(PathPatternVertexFeatures(depth=4), [g])[0]
         assert sum(shallow[0].values()) < sum(deep[0].values())
 
     def test_super_paths_change_alphabet(self):
         g = cycle_graph(6)
-        raw = PathPatternVertexFeatures(depth=2, super_path_h=0).extract([g])[0]
-        sup = PathPatternVertexFeatures(depth=2, super_path_h=2).extract([g])[0]
+        raw = extract_counters(PathPatternVertexFeatures(depth=2, super_path_h=0), [g])[0]
+        sup = extract_counters(PathPatternVertexFeatures(depth=2, super_path_h=2), [g])[0]
         assert set(raw[0]) != set(sup[0])
 
     def test_bfs_tree_visits_each_vertex_once(self):
         # In a cycle, the BFS tree from any root reaches n vertices, so
         # n path patterns (including the root's own).
         g = cycle_graph(5)
-        counts = PathPatternVertexFeatures(depth=4).extract([g])[0]
+        counts = extract_counters(PathPatternVertexFeatures(depth=4), [g])[0]
         assert sum(counts[0].values()) == 5
 
     def test_rejects_bad_params(self):

@@ -54,15 +54,18 @@ class TestTiers:
         fresh.get(key)
         assert fresh.stats.memory_hits == 1
 
-    def test_object_dtype_roundtrip(self, tmp_path):
-        from collections import Counter
-
+    @pytest.mark.parametrize("cache_dir", [None, "disk"])
+    def test_object_dtype_payload_is_refused(self, tmp_path, cache_dir):
+        """Only pickle could store an object array; put refuses it and
+        stores nothing, in either tier."""
         boxed = np.empty(1, dtype=object)
-        boxed[0] = [Counter({("wl", 0, 7): 2}), Counter()]
+        boxed[0] = [{("wl", 0, 7): 2}]
+        cache = FeatureMapCache(cache_dir=tmp_path if cache_dir else None)
         key = cache_key("t", 3)
-        FeatureMapCache(cache_dir=tmp_path).put(key, {"counts": boxed})
-        got = FeatureMapCache(cache_dir=tmp_path).get(key)
-        assert list(got["counts"][0]) == list(boxed[0])
+        with pytest.raises(TypeError, match="object dtype"):
+            cache.put(key, {"counts": boxed, "ok": np.zeros(2)})
+        assert cache.get(key) is None
+        assert cache.stats.stores == 0 and cache.disk_usage() == (0, 0)
 
     def test_lru_evicts_oldest(self):
         cache = FeatureMapCache(memory_items=2)

@@ -27,6 +27,8 @@ The disk round trips go one step further and land on the literal pinned
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,34 @@ class TestPrePrEntriesStillHit:
         assert cache.stats.disk_hits == 0
         assert cache.stats.misses == 1
         assert (tmp_path / WL_COUNTS_KEY[:2] / f"{WL_COUNTS_KEY}.npz").exists()
+
+    def test_boxed_counts_payload_is_recomputed_then_mapped(self, tmp_path):
+        """A ``counts`` entry in the older pickled form (one object array
+        boxing per-vertex ``Counter`` lists) sits under the same pinned
+        key: the pickle-free read refuses it, the entry is recomputed and
+        overwritten, and the next read maps the plain arrays in place."""
+        graphs = _pinned_dataset()
+        extractor = ShortestPathVertexFeatures()
+        counts_key = STABLE_EXTRACTORS[1][2]
+        path = tmp_path / counts_key[:2] / f"{counts_key}.npz"
+        path.parent.mkdir(parents=True)
+        boxed = np.empty(1, dtype=object)
+        boxed[0] = [[Counter({("sp", 9, 9, 9): 1})] * g.n for g in graphs]
+        np.savez(path, counts=boxed)
+
+        want, _ = extract_vertex_feature_matrices(graphs, extractor)
+        cache = FeatureMapCache(cache_dir=tmp_path)
+        cold, _ = extract_vertex_feature_matrices(graphs, extractor, cache=cache)
+        assert (cache.stats.errors, cache.stats.misses, cache.stats.hits) == (1, 1, 0)
+        with np.load(path) as npz:
+            assert sorted(npz.files) == ["indices", "indptr", "keys", "values"]
+
+        fresh = FeatureMapCache(cache_dir=tmp_path)
+        warm, _ = extract_vertex_feature_matrices(graphs, extractor, cache=fresh)
+        assert fresh.stats.mmap_hits == 1 and fresh.stats.errors == 0
+        for table in (cold, warm):
+            for name in ("indptr", "indices", "values"):
+                assert getattr(table, name).tobytes() == getattr(want, name).tobytes()
 
     def test_warm_cache_round_trips_through_fused_encode(self, tmp_path):
         """Cold write then warm read of the full encode path, same bits,

@@ -41,16 +41,18 @@ def test_disk_read_memory_maps_and_matches_bitwise(tmp_path, payload):
         assert arr.tobytes() == want.tobytes()
 
 
-def test_object_dtype_payload_falls_back_to_copying_read(tmp_path):
+def test_pickled_entry_is_a_clean_miss_and_is_dropped(tmp_path):
+    """A file holding a pickled member (the boxed payloads older builds
+    wrote) is never unpickled: it is an error, a miss, and deleted."""
     keys = np.empty(2, dtype=object)
     keys[0], keys[1] = ("a", 1), ("b", 2)
-    key, _ = write_entry(tmp_path, {"keys": keys})
+    key, path = write_entry(tmp_path, {"tensors": np.zeros(3)})
+    np.savez(path, keys=keys)  # what a pickling writer left behind
     reader = FeatureMapCache(cache_dir=tmp_path)
-    got = reader.get(key, namespace="enc")
-    assert got is not None
-    assert reader.stats.mmap_hits == 0  # pickled member cannot be mapped
-    assert reader.stats.disk_hits == 1
-    assert got["keys"][1] == ("b", 2)
+    assert reader.get(key, namespace="enc") is None
+    assert reader.stats.errors == 1 and reader.stats.misses == 1
+    assert reader.stats.mmap_hits == 0 and reader.stats.disk_hits == 0
+    assert not path.exists()
 
 
 def test_compressed_entry_falls_back_to_copying_read(tmp_path, payload):

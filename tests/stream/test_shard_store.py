@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -25,16 +24,11 @@ def encoded_reference():
     stream = make_dataset("MUTAG", scale=0.03, seed=0, stream=True)
     model = deepmap_wl(h=2, r=3, epochs=1, seed=0)
     counts = cached_vertex_counts(model.extractor, eager.graphs)
-    totals: dict = {}
-    for vertex_counts in counts:
-        for counter in vertex_counts:
-            for key, value in counter.items():
-                totals[key] = totals.get(key, 0) + value
-    vocab = FeatureVocabulary(totals.keys())
+    vocab = FeatureVocabulary.from_counts([counts])
     encoder = DeepMapEncoder(r=model.r, ordering=model.ordering).fit_width(
         [max(g.n for g in eager.graphs)]
     )
-    table = vocab.vectorize_rows(chain.from_iterable(counts))
+    table = vocab.vectorize_rows(counts)
     full = dense_input(encoder.encode(eager.graphs, table))
     return eager, stream, model, vocab, encoder, full
 
@@ -106,7 +100,9 @@ def test_shard_keys_match_the_materialized_encode_keys(encoded_reference):
             stop = min(start + shard_size, store.n)
             want = encoder.encode_key(
                 eager.graphs[start:stop],
-                vocab.vectorize_rows(chain.from_iterable(counts[start:stop])),
+                vocab.vectorize_rows(
+                    cached_vertex_counts(model.extractor, eager.graphs[start:stop])
+                ),
             )
             assert store._keys[s] == want
 
